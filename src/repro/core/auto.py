@@ -22,8 +22,7 @@ and over for nothing.  This module packages the dispatch decision:
 
 The legacy backend is never chosen: it is the reference oracle and is
 slower than flat on every tracked workload (see ``docs/performance.md``),
-so dispatch is a flat/vectorized decision.  When numpy is missing the
-answer is always ``"flat"``.
+so dispatch is a flat/vectorized decision.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
+import numpy as _np
+
 from ..graphs.static_graph import Graph
 from ..obs.metrics import METRIC_AUTO_BACKEND_PICKS, get_metrics
 from ..obs.telemetry import get_telemetry
@@ -41,11 +42,6 @@ from .linear_time import linear_time
 from .near_linear import near_linear
 from .result import MISResult
 from .vectorized import bdone_vec, linear_time_vec, near_linear_vec
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "Calibration",
@@ -180,14 +176,8 @@ def _low_degree_fraction(graph: Graph) -> float:
     if graph.n == 0:
         return 0.0
     offsets, _ = graph.flat_csr()
-    if _np is not None:
-        deg = _np.diff(_np.frombuffer(offsets, dtype=_np.int64))
-        return float((deg <= 2).mean())
-    low = 0
-    for v in range(graph.n):
-        if offsets[v + 1] - offsets[v] <= 2:
-            low += 1
-    return low / graph.n
+    deg = _np.diff(_np.frombuffer(offsets, dtype=_np.int64))
+    return float((deg <= 2).mean())
 
 
 def choose_backend_name(
@@ -197,14 +187,11 @@ def choose_backend_name(
 ) -> str:
     """``"flat"`` or ``"vectorized"`` for running ``family`` on ``graph``.
 
-    Vectorized iff numpy is importable, the graph clears the family's
-    calibrated size crossover, and at least ``min_low_frac`` of its
-    vertices have degree ≤ 2 (enough reduction mass for the batch rounds
-    to amortise their numpy setup).  Anything else — including every
-    graph when numpy is absent — runs flat.
+    Vectorized iff the graph clears the family's calibrated size
+    crossover and at least ``min_low_frac`` of its vertices have degree
+    ≤ 2 (enough reduction mass for the batch rounds to amortise their
+    numpy setup).  Anything else runs flat.
     """
-    if _np is None:
-        return "flat"
     calibration = calibration or load_calibration()
     if graph.n < calibration.crossover_for(family):
         return "flat"

@@ -182,7 +182,7 @@ class FlatTriangleWorkspace:
         self._clock = 0
         self._nlive = n
         self._live_deg_sum = len(targets)
-        seeded = self._count_triangles()
+        self._count_triangles()
         deg = self.deg
         for v in range(n):
             d = deg[v]
@@ -194,32 +194,22 @@ class FlatTriangleWorkspace:
                 self.v1.append(v)
             elif d == 2:
                 self.v2.append(v)
-        if not seeded:
-            self._seed_dominated()
 
     # ------------------------------------------------------------------
     # Initialisation
     # ------------------------------------------------------------------
-    def _count_triangles(self) -> bool:
-        """Fill δ for every adjacency slot (scipy when available).
+    def _count_triangles(self) -> None:
+        """Fill δ for every adjacency slot and seed ``dominated``.
 
-        Returns ``True`` when the backend also seeded ``dominated`` (the
-        vectorised path does both in one sweep), ``False`` when the caller
-        still needs :meth:`_seed_dominated`.
+        One sparse-matrix sweep, ``δ = (A² ∘ A)``;
+        :meth:`_count_triangles_python` is the stamp-based reference the
+        tests compare it against.
         """
-        if self._count_triangles_scipy():
-            return True
-        self._count_triangles_python()
-        return False
+        import numpy
+        from scipy import sparse
 
-    def _count_triangles_scipy(self) -> bool:
-        try:
-            import numpy
-            from scipy import sparse
-        except ImportError:  # pragma: no cover - scipy is present in CI
-            return False
         if self.n == 0 or not len(self.adj):
-            return True
+            return
         n = self.n
         indptr = numpy.asarray(self.xadj, dtype=numpy.int64)
         indices = numpy.asarray(self.adj, dtype=numpy.int64)
@@ -250,10 +240,9 @@ class FlatTriangleWorkspace:
         # preserves the oracle's append order (v ascending, row order).
         degrees = numpy.diff(indptr)
         self.dominated = indices[tri == degrees[row_of_slot] - 1].tolist()
-        return True
 
     def _count_triangles_python(self) -> None:
-        """Stamp-based fallback: δ(u, v) = |N(u) ∩ N(v)| per edge u < v."""
+        """Stamp-based reference: δ(u, v) = |N(u) ∩ N(v)| per edge u < v."""
         adj = self.adj
         xadj = self.xadj
         tri = self.tri
@@ -280,22 +269,6 @@ class FlatTriangleWorkspace:
                     # the mirror slot (v, u).
                     tri[bisect_left(adj, u, xadj[v], xadj[v + 1])] = delta
         self._clock = clock
-
-    def _seed_dominated(self) -> None:
-        """Initial worklist D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}."""
-        adj = self.adj
-        xadj = self.xadj
-        tri = self.tri
-        deg = self.deg
-        append = self.dominated.append
-        for v in range(self.n):
-            if not self.alive[v]:
-                continue
-            target = deg[v] - 1
-            lo, hi = xadj[v], xadj[v + 1]
-            for u, count in zip(adj[lo:hi], tri[lo:hi]):
-                if count == target:
-                    append(u)
 
     # ------------------------------------------------------------------
     # Queries

@@ -23,17 +23,14 @@ import time
 from itertools import repeat as _repeat
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as _np
+
 from ..graphs.static_graph import Graph
 from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional here
-    _np = None  # type: ignore[assignment]
 from .dominance import TriangleWorkspace, one_pass_dominance
 from .flat_dominance import FlatTriangleWorkspace, flat_one_pass_dominance
 from .hotpath import hot_loop
-from .lp_reduction import LPReductionResult, lp_reduction
+from .lp_reduction import lp_reduction
 from .result import (
     STAT_DEGREE_ONE,
     STAT_DOMINANCE,
@@ -104,7 +101,6 @@ def _preprocess(
     flat: bool = True,
     telemetry: Any = None,
     sweep: Optional[Callable[[Graph], List[int]]] = None,
-    lp: Optional[Callable[[Graph], LPReductionResult]] = None,
 ) -> Tuple[Graph, List[int]]:
     """Phases 1–2: one-pass dominance, then the LP reduction.
 
@@ -114,11 +110,11 @@ def _preprocess(
     differential suite asserts it), so this only changes the constant.
     ``sweep`` overrides the phase-1 sweep entirely (the vectorized backend
     passes :func:`~repro.core.vectorized.vectorized_one_pass_dominance`,
-    which again returns the identical removed list).  ``lp`` likewise
-    overrides the phase-2 LP solver (the vectorized backend passes
-    :func:`~repro.core.vec_lp.vec_lp_reduction`, identical classification
-    by König-cover invariance).  ``telemetry`` wraps the two phases in
-    ``dominance-sweep`` / ``lp-kernel`` spans when a sink is active.
+    which again returns the identical removed list).  Phase 2 is
+    :func:`~repro.core.lp_reduction.lp_reduction` for every backend:
+    scipy maximum bipartite matching + one König reachability pass.
+    ``telemetry`` wraps the two phases in ``dominance-sweep`` /
+    ``lp-kernel`` spans when a sink is active.
     """
     if not preprocess:
         return graph, list(range(graph.n))
@@ -138,7 +134,7 @@ def _preprocess(
     with phase(
         telemetry, "lp-kernel", algorithm="NearLinear", graph=graph.name
     ) as span:
-        if _np is not None and graph.n >= 2048:
+        if graph.n >= 2048:
             mask = _np.ones(graph.n, dtype=bool)
             if dominated:
                 mask[dominated] = False
@@ -149,8 +145,7 @@ def _preprocess(
                 keep[u] = 0
             survivors = [v for v in range(graph.n) if keep[v]]
         residual, ids = graph.subgraph(survivors)
-        solve_lp = lp_reduction if lp is None else lp
-        result = solve_lp(residual)
+        result = lp_reduction(residual)
         entries.extend(
             zip(_repeat(INCLUDE), zip(map(ids.__getitem__, result.included)))
         )
@@ -170,7 +165,6 @@ def near_linear(
     preprocess: bool = True,
     workspace_factory: Optional[Callable[..., object]] = None,
     sweep: Optional[Callable[[Graph], List[int]]] = None,
-    lp: Optional[Callable[[Graph], LPReductionResult]] = None,
 ) -> MISResult:
     """Compute a maximal independent set of ``graph`` with NearLinear.
 
@@ -181,9 +175,8 @@ def near_linear(
     the replacement must implement the dominance protocol — pass
     :class:`~repro.core.dominance.TriangleWorkspace` to pin the
     list-of-dicts oracle, as the differential tests do).  Both backends
-    produce byte-identical decision logs.  ``sweep`` and ``lp`` override
-    the phase-1 dominance sweep and the phase-2 LP solver (see
-    :func:`_preprocess`).
+    produce byte-identical decision logs.  ``sweep`` overrides the
+    phase-1 dominance sweep (see :func:`_preprocess`).
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
@@ -191,7 +184,7 @@ def near_linear(
     factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
     residual, ids = _preprocess(
         graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep, lp=lp,
+        telemetry=telemetry, sweep=sweep,
     )
     if telemetry is not None:
         factory = instrumented_factory(factory, telemetry, "NearLinear", graph.name)
@@ -225,23 +218,21 @@ def near_linear_reduce(
     preprocess: bool = True,
     workspace_factory: Optional[Callable[..., object]] = None,
     sweep: Optional[Callable[[Graph], List[int]]] = None,
-    lp: Optional[Callable[[Graph], LPReductionResult]] = None,
 ) -> Tuple[Graph, List[int], DecisionLog]:
     """Kernelize ``graph`` with NearLinear's exact rules only (no peeling).
 
     Returns ``(kernel, old_ids, log)`` exactly like
     :func:`repro.core.linear_time.linear_time_reduce`; used by ARW-NL and
     the Eval-III kernel comparison, and to report the paper's
-    "kernel graph size by NearLinear" column of Table 3.  ``sweep`` and
-    ``lp`` override the phase-1 sweep and phase-2 LP solver (see
-    :func:`_preprocess`).
+    "kernel graph size by NearLinear" column of Table 3.  ``sweep``
+    overrides the phase-1 sweep (see :func:`_preprocess`).
     """
     telemetry = get_telemetry()
     log = DecisionLog()
     factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
     residual, ids = _preprocess(
         graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep, lp=lp,
+        telemetry=telemetry, sweep=sweep,
     )
     if telemetry is not None:
         factory = instrumented_factory(

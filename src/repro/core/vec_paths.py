@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+import numpy as _np
+
 from .degree_two_paths import (
     RULE_ANCHOR_SHARED,
     RULE_CYCLE,
@@ -52,11 +54,6 @@ from .degree_two_paths import (
 )
 from .hotpath import hot_loop
 from .trace import EXCLUDE, INCLUDE, PATH, PEEL
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["PathPairCache", "run_path_rounds", "vec_delete_vertex"]
 
@@ -179,7 +176,7 @@ def vec_delete_vertex(workspace: Any, v: int, reason: str) -> None:
     outright (the numpy setup would dominate).
     """
     deg = workspace.deg
-    if deg[v] <= _SCALAR_DELETE_MAX_DEGREE or _np is None:
+    if deg[v] <= _SCALAR_DELETE_MAX_DEGREE:
         workspace.delete_vertex(v, reason)
         return
     alive = workspace.alive
@@ -220,7 +217,7 @@ def _remove_path_batch(workspace: Any, seg: List[int]) -> None:
     """
     k = len(seg)
     alive = workspace.alive
-    if k >= 12 and _np is not None:
+    if k >= 12:
         alive[_np.asarray(seg, dtype=_np.int32)] = 0
     else:
         for x in seg:
@@ -314,21 +311,20 @@ def run_path_rounds(workspace: Any, cache: PathPairCache) -> int:
     """
     np = _np
     v2 = workspace.v2
-    if np is not None:
-        if not cache.primed:
-            cache.primed = True
-            workspace._pair_pending = cache.pending
-            if len(v2) >= _GATHER_MIN:
-                _gather_from(
-                    workspace, cache, np.unique(np.asarray(v2, dtype=np.int32))
-                )
-        else:
-            pend = cache.pending
-            if pend:
-                cand = pend[0] if len(pend) == 1 else np.concatenate(pend)
-                del pend[:]
-                if cand.size >= _GATHER_MIN:
-                    _gather_from(workspace, cache, np.unique(cand))
+    if not cache.primed:
+        cache.primed = True
+        workspace._pair_pending = cache.pending
+        if len(v2) >= _GATHER_MIN:
+            _gather_from(
+                workspace, cache, np.unique(np.asarray(v2, dtype=np.int32))
+            )
+    else:
+        pend = cache.pending
+        if pend:
+            cand = pend[0] if len(pend) == 1 else np.concatenate(pend)
+            del pend[:]
+            if cand.size >= _GATHER_MIN:
+                _gather_from(workspace, cache, np.unique(cand))
     applied = 0
     irreducible = RULE_IRREDUCIBLE
     reduce_one = _reduce_one

@@ -59,6 +59,8 @@ from dataclasses import replace
 from itertools import repeat as _repeat
 from typing import Any, List, Optional, Tuple
 
+import numpy as _np
+
 from ..graphs.static_graph import Graph
 from ..obs.telemetry import get_telemetry, phase
 from .bucket_queue import MaxDegreeSelector
@@ -67,11 +69,6 @@ from .hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, DecisionLog
 from .vec_paths import PathPairCache, run_path_rounds, vec_delete_vertex
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "VecWorkspace",
@@ -82,15 +79,6 @@ __all__ = [
     "near_linear_vec_reduce",
     "vectorized_one_pass_dominance",
 ]
-
-
-def _require_numpy() -> Any:
-    if _np is None:
-        raise RuntimeError(
-            "the vectorized backend requires numpy; "
-            "use the flat backend (FlatWorkspace) instead"
-        )
-    return _np
 
 
 @hot_loop
@@ -143,7 +131,7 @@ class VecWorkspace:
     )
 
     def __init__(self, graph: Graph, track_degree_two: bool = False) -> None:
-        np = _require_numpy()
+        np = _np
         self.graph = graph
         n = self.n = graph.n
         offsets, targets = graph.flat_csr()
@@ -353,7 +341,7 @@ class VecWorkspace:
         id map and sorted per row with a single ``lexsort`` — the same
         sorted-row kernel :meth:`FlatWorkspace.export_kernel` builds.
         """
-        np = _require_numpy()
+        np = _np
         alive_mask = self.alive != 0
         old_ids: List[int] = np.flatnonzero(alive_mask).tolist()
         name = f"{self.graph.name}-kernel" if self.graph.name else "kernel"
@@ -550,7 +538,7 @@ def drive_linear_time_vec(
     telemetry = get_telemetry()
     excluded = 0
     consumed = True
-    if batch_rounds and _np is not None:
+    if batch_rounds:
         cache = PathPairCache(workspace.n)
         while True:
             excluded += _sweep(workspace, telemetry, "LinearTime-vec")
@@ -595,7 +583,7 @@ def drive_bdone_vec(workspace: VecWorkspace, batch_rounds: bool = True) -> None:
     log = workspace.log
     telemetry = get_telemetry()
     excluded = 0
-    batched = batch_rounds and _np is not None
+    batched = batch_rounds
     while True:
         excluded += _sweep(workspace, telemetry, "BDOne-vec")
         u = workspace.pop_max_degree()
@@ -630,10 +618,6 @@ def vectorized_one_pass_dominance(graph: Graph) -> List[int]:
     an exact subset test equivalent to the flat sweep's, on identical
     state at every turn, so the decision sequence never diverges.
     """
-    if _np is None:
-        from .flat_dominance import flat_one_pass_dominance
-
-        return flat_one_pass_dominance(graph)
     np = _np
     n = graph.n
     if n == 0:
@@ -743,21 +727,19 @@ def bdone_vec(graph: Graph) -> MISResult:
 
 
 def near_linear_vec(graph: Graph) -> MISResult:
-    """NearLinear with vectorized dominance + LP phases (``NearLinear-vec``).
+    """NearLinear with the vectorized dominance sweep (``NearLinear-vec``).
 
     Phase 1 runs :func:`vectorized_one_pass_dominance` (identical removed
-    list) and phase 2 runs
-    :func:`~repro.core.vec_lp.vec_lp_reduction` (identical half-integral
-    classification), so the whole downstream pipeline (LP kernel, triangle
-    workspace, peels) matches the flat backend decision-for-decision.
+    list); phase 2 is the shared
+    :func:`~repro.core.lp_reduction.lp_reduction` (scipy maximum bipartite
+    matching + one König reachability pass), so the whole downstream
+    pipeline (LP kernel, triangle workspace, peels) matches the flat
+    backend decision-for-decision.
     """
     from .near_linear import near_linear
-    from .vec_lp import vec_lp_reduction
 
     return replace(
-        near_linear(
-            graph, sweep=vectorized_one_pass_dominance, lp=vec_lp_reduction
-        ),
+        near_linear(graph, sweep=vectorized_one_pass_dominance),
         algorithm="NearLinear-vec",
     )
 
@@ -770,10 +752,7 @@ def linear_time_vec_reduce(graph: Graph) -> Tuple[Graph, List[int], DecisionLog]
 
 
 def near_linear_vec_reduce(graph: Graph) -> Tuple[Graph, List[int], DecisionLog]:
-    """Kernelize with NearLinear's exact rules, vectorized phase-1/2."""
+    """Kernelize with NearLinear's exact rules, vectorized phase 1."""
     from .near_linear import near_linear_reduce
-    from .vec_lp import vec_lp_reduction
 
-    return near_linear_reduce(
-        graph, sweep=vectorized_one_pass_dominance, lp=vec_lp_reduction
-    )
+    return near_linear_reduce(graph, sweep=vectorized_one_pass_dominance)

@@ -20,12 +20,9 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from ..errors import VertexError
+import numpy as _np
 
-try:  # Optional acceleration for subgraph extraction; plain-Python fallback below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from ..errors import VertexError
 
 __all__ = ["Graph"]
 
@@ -165,7 +162,7 @@ class Graph:
             for v in old_ids:
                 self._check_vertex(v)
         name = f"{self.name}[{len(old_ids)}]" if self.name else ""
-        if _np is not None and self.n >= _SUBGRAPH_NUMPY_CUTOFF:
+        if self.n >= _SUBGRAPH_NUMPY_CUTOFF:
             return self._subgraph_numpy(old_ids, name), old_ids
         new_id = {old: new for new, old in enumerate(old_ids)}
         offsets = [0]

@@ -2,7 +2,7 @@
 
 RL001 audits the body of every ``@hot_loop`` function, but it sees one
 file at a time: extract a helper out of a kernel (or call across
-``vec_paths``/``vec_lp`` module lines) and the helper's body silently
+``vectorized``/``vec_paths`` module lines) and the helper's body silently
 escapes the allocation-free contract.  RL006 closes the loophole with
 the call graph: **every project function reachable from a** ``@hot_loop``
 **kernel must itself be** ``@hot_loop`` — which re-arms RL001 on its body

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dominance import TriangleWorkspace, one_pass_dominance
+from repro.core.flat_dominance import FlatTriangleWorkspace
 from repro.core.near_linear import near_linear
 from repro.exact import brute_force_alpha
 from repro.graphs import (
@@ -58,6 +59,16 @@ class TestInitialTriangleCounts:
         slow.n = g.n
         slow.tri = [dict.fromkeys(g.neighbors(v), 0) for v in range(g.n)]
         slow.deg = g.degrees()
+        slow._count_triangles_python()
+        assert fast.tri == slow.tri
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_flat_scipy_and_python_backends_agree(self, seed):
+        g = gnm_random_graph(35, 140, seed=seed)
+        fast = FlatTriangleWorkspace(g)
+        slow = FlatTriangleWorkspace(Graph.empty(g.n))
+        slow.xadj, slow.adj = g.csr_arrays()
+        slow.tri = [0] * len(slow.adj)
         slow._count_triangles_python()
         assert fast.tri == slow.tri
 
