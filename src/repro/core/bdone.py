@@ -13,10 +13,11 @@ Two execution paths share the decision semantics: a generic loop that
 drives any workspace through its public mutation protocol (used with
 :class:`~repro.core.workspace.ArrayWorkspace`, the correctness oracle), and
 a specialized loop for :class:`~repro.core.workspace.FlatWorkspace` that
-binds the flat buffers to locals once and appends decision-log entries
-directly, eliminating the per-reduction attribute lookups and method calls
-that otherwise dominate the constant factor.  Both paths produce identical
-decision logs — the differential tests assert this entry-for-entry.
+binds the flat buffers to locals once and appends decision-log codes
+(``v << 3 | kind``) directly, eliminating the per-reduction attribute
+lookups and method calls that otherwise dominate the constant factor.
+Both paths produce identical decision logs — the differential tests
+assert this entry-for-entry.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _run_flat(workspace: FlatWorkspace) -> None:
     cascade and the deletions are fused into one loop over locals.
     """
     log = workspace.log
-    append_entry = log.entries.append
+    append_code = log.codes.append
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg
@@ -95,7 +96,7 @@ def _run_flat(workspace: FlatWorkspace) -> None:
             alive[v] = 0
             dead += 1
             deg_sum_drop += 2 * deg[v]
-            append_entry((EXCLUDE, (v,)))
+            append_code(v << 3 | EXCLUDE)
             for w in adj[xadj[v] : xadj[v + 1]]:
                 if alive[w]:
                     d = deg[w] - 1
@@ -105,17 +106,23 @@ def _run_flat(workspace: FlatWorkspace) -> None:
                     elif d == 0:
                         alive[w] = 0
                         dead += 1
-                        append_entry((INCLUDE, (w,)))
+                        append_code(w << 3 | INCLUDE)
             degree_one_count += 1
             continue
         # --- peel the maximum-degree vertex ----------------------------
+        # Flush the live count first: pop_max_degree() skips building its
+        # bucket queue once the graph is consumed.
+        workspace._nlive -= dead
+        workspace._live_deg_sum -= deg_sum_drop
+        dead = 0
+        deg_sum_drop = 0
         u = pop_max_degree()
         if u is None:
             break
         alive[u] = 0
         dead += 1
         deg_sum_drop += 2 * deg[u]
-        append_entry((PEEL, (u,)))
+        append_code(u << 3 | PEEL)
         for w in adj[xadj[u] : xadj[u + 1]]:
             if alive[w]:
                 d = deg[w] - 1
@@ -125,7 +132,7 @@ def _run_flat(workspace: FlatWorkspace) -> None:
                 elif d == 0:
                     alive[w] = 0
                     dead += 1
-                    append_entry((INCLUDE, (w,)))
+                    append_code(w << 3 | INCLUDE)
         peel_count += 1
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop

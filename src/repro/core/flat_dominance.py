@@ -353,8 +353,14 @@ class FlatTriangleWorkspace:
         return None
 
     def pop_max_degree(self) -> Optional[int]:
-        """A live vertex of maximum degree (lazy bucket queue)."""
+        """A live vertex of maximum degree (lazy bucket queue).
+
+        Short-circuits when the graph is already consumed, so a run that
+        never peels never builds the O(n + Δ) queue.
+        """
         if self._selector is None:
+            if self._nlive == 0:
+                return None
             self._selector = MaxDegreeSelector(self.deg, self.alive)
         return self._selector.pop_max()
 

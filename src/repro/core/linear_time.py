@@ -82,12 +82,12 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     """The same loop specialized to the flat CSR buffers.
 
     The degree-one rule, the deletions and the peels operate on locals
-    (``adj``/``deg``/``alive``/worklists) and append decision entries
-    directly; rule counters are accumulated locally and committed to the
+    (``adj``/``deg``/``alive``/worklists) and append decision codes
+    (``v << 3 | kind``) directly; rule counters are accumulated locally and committed to the
     log in one batch when the loop exits.
     """
     log = workspace.log
-    append_entry = log.entries.append
+    append_code = log.codes.append
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg
@@ -120,7 +120,7 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
             alive[v] = 0
             dead += 1
             deg_sum_drop += 2 * deg[v]
-            append_entry((EXCLUDE, (v,)))
+            append_code(v << 3 | EXCLUDE)
             for w in adj[xadj[v] : xadj[v + 1]]:
                 if alive[w]:
                     d = deg[w] - 1
@@ -132,7 +132,7 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                     elif d == 0:
                         alive[w] = 0
                         dead += 1
-                        append_entry((INCLUDE, (w,)))
+                        append_code(w << 3 | INCLUDE)
             degree_one_count += 1
             continue
         # --- degree-two path reductions (shared Lemma 4.1 driver) ------
@@ -155,6 +155,12 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                 rule_counts[rule] = rule_counts.get(rule, 0) + 1
             continue
         # --- peel the maximum-degree vertex ----------------------------
+        # Flush the live count first: pop_max_degree() skips building its
+        # bucket queue once the graph is consumed.
+        workspace._nlive -= dead
+        workspace._live_deg_sum -= deg_sum_drop
+        dead = 0
+        deg_sum_drop = 0
         u = pop_max_degree()
         if u is None:
             break
@@ -166,7 +172,7 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
         alive[u] = 0
         dead += 1
         deg_sum_drop += 2 * deg[u]
-        append_entry((PEEL, (u,)))
+        append_code(u << 3 | PEEL)
         for w in adj[xadj[u] : xadj[u + 1]]:
             if alive[w]:
                 d = deg[w] - 1
@@ -178,7 +184,7 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                 elif d == 0:
                     alive[w] = 0
                     dead += 1
-                    append_entry((INCLUDE, (w,)))
+                    append_code(w << 3 | INCLUDE)
         peel_count += 1
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop

@@ -20,7 +20,6 @@ Worst-case time O(m·Δ); in practice near-linear because phase 1 collapses Δ.
 from __future__ import annotations
 
 import time
-from itertools import repeat as _repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as _np
@@ -124,11 +123,9 @@ def _preprocess(
         if sweep is None:
             sweep = flat_one_pass_dominance if flat else one_pass_dominance
         dominated = sweep(graph)
-        # Bulk-append the phase decisions (one entry per vertex; phases
-        # 1–2 settle most vertices, so the tuples are built in C via the
-        # zip/repeat pairing instead of an interpreted genexp).
-        entries = log.entries
-        entries.extend(zip(_repeat(EXCLUDE), zip(dominated)))
+        # Bulk-append the phase decisions: phases 1–2 settle most
+        # vertices, so their records are encoded in numpy, not one by one.
+        log.record_many(EXCLUDE, dominated)
         log.bump(STAT_ONE_PASS_DOMINANCE, len(dominated))
         span.meta["removed"] = len(dominated)
     with phase(
@@ -146,12 +143,9 @@ def _preprocess(
             survivors = [v for v in range(graph.n) if keep[v]]
         residual, ids = graph.subgraph(survivors)
         result = lp_reduction(residual)
-        entries.extend(
-            zip(_repeat(INCLUDE), zip(map(ids.__getitem__, result.included)))
-        )
-        entries.extend(
-            zip(_repeat(EXCLUDE), zip(map(ids.__getitem__, result.excluded)))
-        )
+        table = _np.asarray(ids, dtype=_np.int64)
+        log.record_many(INCLUDE, table[_np.asarray(result.included, dtype=_np.int64)])
+        log.record_many(EXCLUDE, table[_np.asarray(result.excluded, dtype=_np.int64)])
         log.bump(STAT_LP_INCLUDED, len(result.included))
         log.bump(STAT_LP_EXCLUDED, len(result.excluded))
         span.meta["included"] = len(result.included)

@@ -11,7 +11,11 @@ decisions whose resolution must wait until the rest of the graph is solved:
   triple ``{u, v, w}`` whose supervertex reuses id ``w``; on replay, ``w`` in
   the solution means ``v`` joins it too, otherwise ``u`` does.
 
-:class:`DecisionLog` records all five in one chronological list; replaying it
+:class:`DecisionLog` records all five in one chronological stream — the
+paper's O(n) reconstruction stack — encoded as one int per decision
+(``v << 3 | kind``) plus a side list holding the two extra ids of each
+path/fold record.  No decision allocates a garbage-collected container, so
+a log of millions of entries costs the collector nothing.  Replaying it
 backwards resolves the deferred decisions in the correct dependency order,
 after which the solution is extended to a maximal independent set
 (Algorithm 1 Line 6).
@@ -20,7 +24,7 @@ after which the solution is extended to a maximal independent set
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as _np
 
@@ -41,9 +45,10 @@ __all__ = [
     "FOLD",
 ]
 
-#: Entry kinds, public so the specialized flat-buffer drivers can append
-#: entries directly (one tuple per decision) instead of paying a method
-#: call per reduction; :meth:`DecisionLog.replay` is the only consumer.
+#: Entry kinds — the low three bits of each :attr:`DecisionLog.codes`
+#: value.  Public so the specialized flat-buffer drivers can append
+#: ``v << 3 | kind`` directly instead of paying a method call per
+#: reduction.
 INCLUDE = 0
 EXCLUDE = 1
 PEEL = 2
@@ -127,12 +132,26 @@ def extend_to_maximal(in_set: List[bool], graph: Graph) -> None:
 
 
 class DecisionLog:
-    """Chronological record of reducing-peeling decisions."""
+    """Chronological record of reducing-peeling decisions.
 
-    __slots__ = ("_entries", "stats")
+    Storage is two flat lists of Python ints, so recording a decision
+    allocates no container the cyclic garbage collector has to track:
+
+    * :attr:`codes` — one ``v << 3 | kind`` per decision, in order, where
+      ``v`` is the decided vertex (the first id of a PATH/FOLD record);
+    * :attr:`operands` — the two extra ids of every PATH/FOLD record, in
+      the same order as their codes (``blocker_a, blocker_b`` for a path
+      entry, ``v, w`` for a fold).
+
+    The specialized drivers append to these lists directly; everything
+    else goes through the typed methods.
+    """
+
+    __slots__ = ("codes", "operands", "stats")
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[int, Tuple[int, ...]]] = []
+        self.codes: List[int] = []
+        self.operands: List[int] = []
         self.stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -140,15 +159,15 @@ class DecisionLog:
     # ------------------------------------------------------------------
     def include(self, v: int) -> None:
         """Vertex ``v`` is definitively in the independent set."""
-        self._entries.append((_INCLUDE, (v,)))
+        self.codes.append(v << 3 | _INCLUDE)
 
     def exclude(self, v: int) -> None:
         """Vertex ``v`` was removed by an exact rule (not in the set)."""
-        self._entries.append((_EXCLUDE, (v,)))
+        self.codes.append(v << 3 | _EXCLUDE)
 
     def peel(self, v: int) -> None:
         """Vertex ``v`` was removed by the inexact (peeling) reduction."""
-        self._entries.append((_PEEL, (v,)))
+        self.codes.append(v << 3 | _PEEL)
 
     def push_path(self, v: int, blocker_a: int, blocker_b: int) -> None:
         """Defer vertex ``v`` of a reduced degree-two path (stack entry).
@@ -160,12 +179,28 @@ class DecisionLog:
         keeps the Lemma 4.1 alternation exact even after earlier rewirings
         retired some of ``v``'s original edges.
         """
-        self._entries.append((_PATH, (v, blocker_a, blocker_b)))
+        self.codes.append(v << 3 | _PATH)
+        self.operands.append(blocker_a)
+        self.operands.append(blocker_b)
 
     def fold(self, u: int, v: int, w: int) -> None:
         """Record the folding of degree-two vertex ``u`` with neighbours
         ``v`` and ``w``; the supervertex survives under id ``w``."""
-        self._entries.append((_FOLD, (u, v, w)))
+        self.codes.append(u << 3 | _FOLD)
+        self.operands.append(v)
+        self.operands.append(w)
+
+    def record_many(self, kind: int, vertices: Any) -> None:
+        """Append one ``kind`` record per vertex, in order.
+
+        ``vertices`` is a numpy index array or a sequence of ints; the
+        encoding runs in numpy (widened to int64 so large ids cannot
+        overflow the shift) and ``tolist()`` hands back pure Python ints,
+        which the JSON snapshot path and the differential tests require.
+        For the single-id kinds only (include / exclude / peel).
+        """
+        ids = _np.asarray(vertices, dtype=_np.int64)
+        self.codes.extend((ids << 3 | kind).tolist())
 
     def bump(self, rule: str, amount: int = 1) -> None:
         """Increment the application counter for ``rule``."""
@@ -176,23 +211,25 @@ class DecisionLog:
 
         Used when an algorithm ran on a compacted subgraph: ``id_map[x]``
         is the original id of subgraph vertex ``x``.  Stats are merged.
+        One numpy gather per list translates every id; the kind bits ride
+        along unchanged.
         """
-        append = self._entries.append
-        get = id_map.__getitem__
-        for kind, data in other._entries:
-            if len(data) == 1:
-                # Singleton entries dominate; building the pair directly
-                # skips a generator + tuple() round-trip per entry.
-                append((kind, (get(data[0]),)))
-            else:
-                append((kind, tuple(map(get, data))))
+        if other.codes:
+            np = _np
+            table = np.asarray(id_map, dtype=np.int64)
+            codes = np.array(other.codes, dtype=np.int64)
+            self.codes.extend((table[codes >> 3] << 3 | codes & 7).tolist())
+            if other.operands:
+                operands = np.array(other.operands, dtype=np.int64)
+                self.operands.extend(table[operands].tolist())
         for rule, amount in other.stats.items():
             self.bump(rule, amount)
 
     def copy(self) -> "DecisionLog":
         """An independent copy (entries and stats)."""
         clone = DecisionLog()
-        clone._entries = list(self._entries)
+        clone.codes = list(self.codes)
+        clone.operands = list(self.operands)
         clone.stats = dict(self.stats)
         return clone
 
@@ -202,12 +239,12 @@ class DecisionLog:
     def to_payload(self) -> Dict[str, object]:
         """A JSON-serialisable dump of the log (entries + stats).
 
-        Entry tuples become ``[kind, [vertices...]]`` lists; the inverse is
+        Each record becomes ``[kind, [vertices...]]``; the inverse is
         :meth:`from_payload`.  Used by :mod:`repro.serve` snapshots to
         persist register-time kernelization state across process restarts.
         """
         return {
-            "entries": [[kind, list(data)] for kind, data in self._entries],
+            "entries": [[kind, list(data)] for kind, data in self.entries],
             "stats": dict(self.stats),
         }
 
@@ -215,10 +252,11 @@ class DecisionLog:
     def from_payload(cls, payload: Dict[str, object]) -> "DecisionLog":
         """Rebuild a log previously dumped with :meth:`to_payload`."""
         log = cls()
-        log._entries = [
-            (int(kind), tuple(int(v) for v in data))
-            for kind, data in payload.get("entries", [])  # type: ignore[union-attr]
-        ]
+        codes = log.codes
+        operands = log.operands
+        for kind, data in payload.get("entries", []):  # type: ignore[union-attr]
+            codes.append(int(data[0]) << 3 | int(kind))
+            operands.extend(int(v) for v in data[1:])
         log.stats = {
             str(rule): int(amount)
             for rule, amount in payload.get("stats", {}).items()  # type: ignore[union-attr]
@@ -226,22 +264,39 @@ class DecisionLog:
         return log
 
     # ------------------------------------------------------------------
-    # Introspection (used by tests)
+    # Introspection
     # ------------------------------------------------------------------
     @property
-    def entries(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """The raw chronological entry list ``[(kind, vertex-tuple), …]``.
+    def entries(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """The decisions decoded as ``((kind, vertex-tuple), …)``.
 
-        Exposed for the specialized drivers (which append to it directly in
-        their hot loops) and for differential tests that assert two backends
-        made byte-identical decision sequences.  Treat as append-only.
+        A read-only view built on each access: ``(kind, (v,))`` for
+        include/exclude/peel, ``(PATH, (v, blocker_a, blocker_b))`` and
+        ``(FOLD, (u, v, w))`` for the deferred records.  Differential tests
+        compare it to assert two backends made byte-identical decision
+        sequences; writers append to :attr:`codes` / :attr:`operands`.
         """
-        return self._entries
+        operands = iter(self.operands)
+        decoded = []
+        append = decoded.append
+        for code in self.codes:
+            kind = code & 7
+            if kind >= _PATH:
+                append((kind, (code >> 3, next(operands), next(operands))))
+            else:
+                append((kind, (code >> 3,)))
+        return tuple(decoded)
+
+    def _kind_counts(self) -> List[int]:
+        """How many records of each kind, indexed by kind."""
+        kinds = _np.array(self.codes, dtype=_np.int64) & 7
+        counts: List[int] = _np.bincount(kinds, minlength=_FOLD + 1).tolist()
+        return counts
 
     @property
     def peel_count(self) -> int:
         """How many peel entries were recorded."""
-        return sum(1 for kind, _ in self._entries if kind == _PEEL)
+        return self._kind_counts()[_PEEL]
 
     @property
     def alpha_offset(self) -> int:
@@ -254,18 +309,11 @@ class DecisionLog:
         void the equality (they only guarantee ≥), so callers must check
         :attr:`peel_count` is zero before relying on this.
         """
-        includes = folds = paths = 0
-        for kind, _ in self._entries:
-            if kind == _INCLUDE:
-                includes += 1
-            elif kind == _FOLD:
-                folds += 1
-            elif kind == _PATH:
-                paths += 1
-        return includes + folds + paths // 2
+        counts = self._kind_counts()
+        return counts[_INCLUDE] + counts[_FOLD] + counts[_PATH] // 2
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.codes)
 
     # ------------------------------------------------------------------
     # Replay
@@ -277,31 +325,33 @@ class DecisionLog:
         the telemetry-traced drivers run this and
         :func:`extend_to_maximal` under separate phase spans.
         """
-        in_set = [False] * n
-        peeled_vertices: List[int] = []
-        # One forward pass commits includes and collects the (typically
-        # few) deferred entries; only those replay backwards — their
-        # relative order is chronological, so ``reversed`` sees them in
-        # the same order a full backward walk of the log would.
-        deferred: List[Tuple[int, Tuple[int, ...]]] = []
-        for kind, data in self._entries:
-            if kind == _INCLUDE:
-                in_set[data[0]] = True
-            elif kind == _PEEL:
-                peeled_vertices.append(data[0])
-            elif kind == _PATH or kind == _FOLD:
-                deferred.append((kind, data))
-        for kind, data in reversed(deferred):
-            if kind == _PATH:
-                v, blocker_a, blocker_b = data
-                if not in_set[blocker_a] and not in_set[blocker_b]:
-                    in_set[v] = True
+        np = _np
+        codes = np.array(self.codes, dtype=np.int64)
+        kinds = codes & 7
+        ids = codes >> 3
+        # Includes and peels are final: two masks settle them in bulk.
+        flags = np.zeros(n, dtype=bool)
+        flags[ids[kinds == _INCLUDE]] = True
+        peeled_vertices: List[int] = ids[kinds == _PEEL].tolist()
+        in_set: List[bool] = flags.tolist()
+        # Only the (typically few) deferred records replay, backwards —
+        # their relative order is chronological, so walking them in
+        # reverse sees them in the order a full backward walk of the log
+        # would.  The k-th deferred code owns operands[2k : 2k + 2].
+        deferred = codes[kinds >= _PATH].tolist()
+        operands = self.operands
+        j = len(operands)
+        for code in reversed(deferred):
+            j -= 2
+            a = operands[j]
+            b = operands[j + 1]
+            if code & 7 == _PATH:
+                if not in_set[a] and not in_set[b]:
+                    in_set[code >> 3] = True
+            elif in_set[b]:  # fold (u, v=a, w=b): w in ⇒ v joins, else u
+                in_set[a] = True
             else:
-                u, v, w = data
-                if in_set[w]:
-                    in_set[v] = True
-                else:
-                    in_set[u] = True
+                in_set[code >> 3] = True
         return in_set, peeled_vertices
 
     def replay(self, graph: Graph, extend_maximal: bool = True) -> ReplayOutcome:

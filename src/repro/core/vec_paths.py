@@ -53,7 +53,7 @@ from .degree_two_paths import (
     RULE_ODD_NO_EDGE,
 )
 from .hotpath import hot_loop
-from .trace import EXCLUDE, INCLUDE, PATH, PEEL
+from .trace import INCLUDE
 
 __all__ = ["PathPairCache", "run_path_rounds", "vec_delete_vertex"]
 
@@ -184,11 +184,11 @@ def vec_delete_vertex(workspace: Any, v: int, reason: str) -> None:
     row = workspace.adj[xadj[v] : xadj[v + 1]]
     dv = int(deg[v])
     alive[v] = 0
-    entries = workspace.log.entries
+    log = workspace.log
     if reason == "peel":
-        entries.append((PEEL, (int(v),)))
+        log.peel(int(v))
     else:
-        entries.append((EXCLUDE, (int(v),)))
+        log.exclude(int(v))
     live = row[alive[row] != 0]
     k = int(live.size)
     if k == 0:
@@ -201,8 +201,7 @@ def vec_delete_vertex(workspace: Any, v: int, reason: str) -> None:
     alive[to_zero] = 0
     workspace.v1.extend(live[new_deg == 1].tolist())
     workspace.v2.extend(live[new_deg == 2].tolist())
-    for x in to_zero.tolist():
-        entries.append((INCLUDE, (x,)))
+    log.record_many(INCLUDE, to_zero)
     workspace._nlive -= 1 + int(to_zero.size)
     workspace._live_deg_sum -= dv + k
 
@@ -252,7 +251,7 @@ def _reduce_one(workspace: Any, u: int, cache: PathPairCache) -> str:
     length = len(path)
     head = path[0]
     tail = path[-1]
-    entries = workspace.log.entries
+    push_path = workspace.log.push_path
     have = cache.have
     if length % 2 == 1:
         if workspace.has_live_edge(v, w):
@@ -271,7 +270,7 @@ def _reduce_one(workspace: Any, u: int, cache: PathPairCache) -> str:
         _remove_path_batch(workspace, path[1:])
         chain = [v] + path + [w]
         for i in range(length - 1, 0, -1):  # path[length-1] … path[1]
-            entries.append((PATH, (path[i], chain[i], chain[i + 2])))
+            push_path(path[i], chain[i], chain[i + 2])
         workspace.refile(head)
         return RULE_ODD_NO_EDGE
     chain = [v] + path + [w]
@@ -279,7 +278,7 @@ def _reduce_one(workspace: Any, u: int, cache: PathPairCache) -> str:
         # Case 4: remove the whole path; anchors each lose one edge.
         _remove_path_batch(workspace, path)
         for i in range(length - 1, -1, -1):
-            entries.append((PATH, (path[i], chain[i], chain[i + 2])))
+            push_path(path[i], chain[i], chain[i + 2])
         workspace.decrement_degree(v)
         workspace.decrement_degree(w)
         return RULE_EVEN_EDGE
@@ -290,7 +289,7 @@ def _reduce_one(workspace: Any, u: int, cache: PathPairCache) -> str:
     have[w] = 0
     _remove_path_batch(workspace, path)
     for i in range(length - 1, -1, -1):
-        entries.append((PATH, (path[i], chain[i], chain[i + 2])))
+        push_path(path[i], chain[i], chain[i + 2])
     workspace.settle_new_edge(v, w)
     return RULE_EVEN_NO_EDGE
 

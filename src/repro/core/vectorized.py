@@ -56,7 +56,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import repeat as _repeat
 from typing import Any, List, Optional, Tuple
 
 import numpy as _np
@@ -79,23 +78,6 @@ __all__ = [
     "near_linear_vec_reduce",
     "vectorized_one_pass_dominance",
 ]
-
-
-@hot_loop
-def _push_entries(
-    entries: List[Tuple[int, Tuple[int, ...]]], kind: int, batch: Any
-) -> None:
-    """Append one ``(kind, (v,))`` record per batch member.
-
-    ``batch`` is a numpy index array; ``tolist()`` converts once at C speed
-    so the log holds pure Python ints (the JSON snapshot path and the
-    differential tests both require that).  The ``zip``/``repeat`` pairing
-    builds every ``(kind, (v,))`` tuple in C — at tens of thousands of
-    entries per sweep the interpreted genexp equivalent is a measurable
-    slice of the whole sweep.  Kept outside the hot loop so the sweep
-    kernel stays comprehension-free (RL001).
-    """
-    entries.extend(zip(_repeat(kind), zip(batch.tolist())))
 
 
 class VecWorkspace:
@@ -159,7 +141,7 @@ class VecWorkspace:
         if zeros.size:
             self.alive[zeros] = 0
             self._nlive -= int(zeros.size)
-            _push_entries(self.log.entries, INCLUDE, zeros)
+            self.log.record_many(INCLUDE, zeros)
         self.v1: List[int] = np.flatnonzero(self.deg == 1).tolist()
         if track_degree_two:
             self.v2: List[int] = np.flatnonzero(self.deg == 2).tolist()
@@ -402,7 +384,7 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
     alive = workspace.alive
     v1 = workspace.v1
     v2_extend = workspace.v2.extend
-    entries = workspace.log.entries
+    record_many = workspace.log.record_many
     track2 = workspace._track2
     pair_pending = workspace._pair_pending
     pending = np_empty(0, dtype=int32)
@@ -482,9 +464,9 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
         crossed_zero = affected[new_deg == 0]
         alive[crossed_zero] = 0
         nlive_drop += int(crossed_zero.size)
-        _push_entries(entries, EXCLUDE, dying)
-        _push_entries(entries, INCLUDE, included_pair)
-        _push_entries(entries, INCLUDE, crossed_zero)
+        record_many(EXCLUDE, dying)
+        record_many(INCLUDE, included_pair)
+        record_many(INCLUDE, crossed_zero)
         excluded += int(dying.size)
         if track2:
             twos = affected[new_deg == 2]

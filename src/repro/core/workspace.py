@@ -490,8 +490,14 @@ class FlatWorkspace:
     # Peeling support
     # ------------------------------------------------------------------
     def pop_max_degree(self) -> Optional[int]:
-        """A live vertex of maximum degree (lazy bucket queue; O(m) total)."""
+        """A live vertex of maximum degree (lazy bucket queue; O(m) total).
+
+        Short-circuits when the graph is already consumed, so a run that
+        never peels never builds the O(n + Δ) queue.
+        """
         if self._selector is None:
+            if self._nlive == 0:
+                return None
             self._selector = MaxDegreeSelector(self.deg, self.alive)
         return self._selector.pop_max()
 

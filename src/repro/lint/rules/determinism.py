@@ -34,7 +34,7 @@ from .base import Rule
 __all__ = ["DecisionLogDeterminismRule"]
 
 #: DecisionLog append methods — calling one makes a function a "driver".
-_APPENDERS = frozenset({"include", "exclude", "peel", "push_path", "fold"})
+_APPENDERS = frozenset({"include", "exclude", "peel", "push_path", "fold", "record_many"})
 
 #: Drawing methods on the module-level ``random`` RNG.
 _RANDOM_DRAWS = frozenset(

@@ -75,12 +75,12 @@ def instrumented_factory(
                 self._tele_sample()
 
         def _tele_sample(self) -> None:
-            entries = self.log.entries
+            codes = self.log.codes
             pos = self._tele_scan_pos
             includes = self._tele_includes
-            end = len(entries)
+            end = len(codes)
             while pos < end:
-                if entries[pos][0] == INCLUDE:
+                if codes[pos] & 7 == INCLUDE:
                     includes += 1
                 pos += 1
             self._tele_scan_pos = pos

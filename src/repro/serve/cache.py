@@ -112,13 +112,13 @@ class SharedCacheTier:
     :meth:`CacheEntry.to_payload` dicts: a plain dict for thread-mode shard
     workers, a ``multiprocessing.Manager().dict()`` proxy for process
     workers (the proxy pickles, so the tier rides the worker spawn payload).
-    Eviction is bounded but deliberately coarse — payloads carry an
-    insertion sequence number and the oldest is dropped when the tier is
-    full; the precise LRU lives in each worker's local
-    :class:`KernelCache`.
+    Eviction is bounded but deliberately coarse — the store's insertion
+    order is the age order (a re-put moves its key to the end), and the
+    oldest key is dropped when the tier is full; the precise LRU lives in
+    each worker's local :class:`KernelCache`.  Eviction reads keys only:
+    the payloads hold whole solutions, and behind a manager proxy every
+    one would cross the process boundary.
     """
-
-    _SEQ_KEY = "__tier_seq__"
 
     def __init__(
         self,
@@ -138,7 +138,7 @@ class SharedCacheTier:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._store) - (1 if self._SEQ_KEY in self._store else 0)
+            return len(self._store)
 
     def get(self, fingerprint: str, algorithm: str) -> Optional[CacheEntry]:
         """Look up an entry; ``None`` when the fleet has not solved it."""
@@ -151,20 +151,12 @@ class SharedCacheTier:
     def put(self, entry: CacheEntry) -> None:
         """Publish an entry payload for the whole fleet, evicting oldest."""
         payload = entry.to_payload()
+        key = self._key(entry.fingerprint, entry.algorithm)
         with self._lock:
-            seq = int(self._store.get(self._SEQ_KEY, 0)) + 1
-            self._store[self._SEQ_KEY] = seq
-            payload["__seq"] = seq
-            self._store[self._key(entry.fingerprint, entry.algorithm)] = payload
-            while len(self._store) - 1 > self.capacity:
-                oldest = min(
-                    (
-                        (value.get("__seq", 0), key)
-                        for key, value in self._store.items()
-                        if key != self._SEQ_KEY
-                    ),
-                )[1]
-                del self._store[oldest]
+            self._store.pop(key, None)  # a re-put becomes the newest
+            self._store[key] = payload
+            while len(self._store) > self.capacity:
+                del self._store[next(iter(self._store.keys()))]
 
     def __repr__(self) -> str:
         return f"<SharedCacheTier {len(self)}/{self.capacity}>"

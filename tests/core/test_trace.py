@@ -1,7 +1,20 @@
 """Tests for the decision log and solution reconstruction."""
 
-from repro.core.trace import DecisionLog, extend_to_maximal
+import gc
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.framework import ALGORITHMS
+from repro.core.kernel import KERNEL_METHODS
+from repro.core.trace import EXCLUDE, FOLD, INCLUDE, PATH, PEEL, DecisionLog, extend_to_maximal
 from repro.graphs import Graph, path_graph, cycle_graph
+from repro.graphs.generators import power_law_graph
+
+from .test_differential_backends import CORPUS
 
 
 class TestBasicReplay:
@@ -329,3 +342,179 @@ class TestInterleavedFoldPath:
         assert restored.entries == log.entries
         assert restored.stats == log.stats
         assert restored.resolve(10) == log.resolve(10)
+
+
+# ----------------------------------------------------------------------
+# The int-code storage against a tuple-walking reference
+# ----------------------------------------------------------------------
+def _records(max_id):
+    """Strategy: a chronological list of ``(kind, ids)`` records."""
+    vertex = st.integers(0, max_id)
+    single = st.tuples(st.sampled_from([INCLUDE, EXCLUDE, PEEL]), st.tuples(vertex))
+    triple = st.tuples(st.sampled_from([PATH, FOLD]), st.tuples(vertex, vertex, vertex))
+    return st.lists(st.one_of(single, triple), max_size=60)
+
+
+def _log_of(records):
+    log = DecisionLog()
+    record = {INCLUDE: log.include, EXCLUDE: log.exclude, PEEL: log.peel,
+              PATH: log.push_path, FOLD: log.fold}
+    for kind, data in records:
+        record[kind](*data)
+    return log
+
+
+def _reference_resolve(records, n):
+    """Replay written directly over ``(kind, ids)`` tuples."""
+    in_set = [False] * n
+    peeled = [data[0] for kind, data in records if kind == PEEL]
+    for kind, data in records:
+        if kind == INCLUDE:
+            in_set[data[0]] = True
+    for kind, data in reversed(records):
+        if kind == PATH:
+            v, blocker_a, blocker_b = data
+            if not in_set[blocker_a] and not in_set[blocker_b]:
+                in_set[v] = True
+        elif kind == FOLD:
+            u, v, w = data
+            if in_set[w]:
+                in_set[v] = True
+            else:
+                in_set[u] = True
+    return in_set, peeled
+
+
+class TestIntCodeStorage:
+    @settings(max_examples=300, deadline=None)
+    @given(_records(2 ** 40))
+    def test_entries_payload_and_counts(self, records):
+        log = _log_of(records)
+        assert log.entries == tuple(records)
+        assert len(log) == len(records)
+        restored = DecisionLog.from_payload(json.loads(json.dumps(log.to_payload())))
+        assert restored.entries == log.entries
+        assert restored.codes == log.codes and restored.operands == log.operands
+        kinds = [kind for kind, _ in records]
+        assert log.peel_count == kinds.count(PEEL)
+        assert log.alpha_offset == (
+            kinds.count(INCLUDE) + kinds.count(FOLD) + kinds.count(PATH) // 2
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records(39))
+    def test_resolve_matches_tuple_walk(self, records):
+        assert _log_of(records).resolve(40) == _reference_resolve(records, 40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records(11), st.lists(st.integers(0, 2 ** 40), min_size=12, max_size=12),
+           _records(2 ** 40))
+    def test_extend_mapped_maps_every_record(self, inner_records, id_map, prefix):
+        inner = _log_of(inner_records)
+        inner.bump("rule", 2)
+        outer = _log_of(prefix)
+        outer.extend_mapped(inner, id_map)
+        mapped = [(kind, tuple(id_map[v] for v in data)) for kind, data in inner_records]
+        assert outer.entries == tuple(prefix) + tuple(mapped)
+        assert outer.stats == {"rule": 2}
+        assert all(type(x) is int for x in outer.codes + outer.operands)
+
+
+# ----------------------------------------------------------------------
+# Byte identity with the tuple-list log, pinned
+# ----------------------------------------------------------------------
+def _digest_reprs(reprs):
+    digest = hashlib.sha256()
+    for text in reprs:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+#: SHA-256 over the differential corpus, recorded from the tuple-list
+#: DecisionLog this storage replaced: per solver, of each run's
+#: ``MISResult`` fields and of the decision log it replayed; per kernel
+#: method, of each ``(log.entries, stats, old_ids, kernel)``.
+_PINNED_SOLVES = {
+    "BDOne": ("b4e82beb7477ee5e71d4a7dcc936c9cc8e69407631f890c94085e97329b360a6",
+              "fda2846326f9d8eb5af2bfe42bf15c1706f007e7fd4bf1e8e91db1b67d1ca889"),
+    "BDOne-vec": ("96891586eb04139f0d3e8a21b100dcd08556dd34f402b71c30cd40e5aa180b9f",
+                  "f40faac1b6251033a9b673a5e2e2309d49981493e5bf873e78fc8a5f62f0173f"),
+    "BDTwo": ("ef8fe0acad9da263d4732f2c14434d43eb17cada414524d5ba004916f6e7a2ab",
+              "6c1d74766a90d26b068088f96d8111005d70baa0fe6f12ba98776caae053d2ea"),
+    "LinearTime": ("5f1daae1ac9988f21eb35f5e9121fb254fdfab15101adc5079eb37a795b307e4",
+                   "483014006656ee85586d6b9867507e11cffdc210cf755fe6a4f13bce763cb2b9"),
+    "LinearTime-vec": ("5b3b7738dda3ad687b9cf2b88f8e3556d377c1ae437e73dd50185412f4324572",
+                       "275a07da4421a76e4a3ae5b5114fa98e3ab4d9a2061eea2891ffa40c529ec304"),
+    "NearLinear": ("f3c6d32575dbf1c32f22e51053d3d85f09da6bf75cd41636930d4d68f309ec86",
+                   "4cb4aa409e9e7a329fc4b27fd8c68f85899bb1c858b9721a90a0f0ac87584047"),
+    "NearLinear-vec": ("66d061e8bfdd4a2838c8664610e76722b7d2139b94160e77365165ed85512735",
+                       "4cb4aa409e9e7a329fc4b27fd8c68f85899bb1c858b9721a90a0f0ac87584047"),
+}
+_PINNED_KERNELS = {
+    "degree_one": "eb1bf60f24b14c78a441c74a2bffefeab50795dfc2737c78e0093ce9b94684b7",
+    "linear_time": "85cd117998e4767c037813ca59b81b5a1536d959ce9e1170f50fa34201627d5f",
+    "linear_time_vec": "cae6f7ba57544f551ec03093956f68af0b6110d929a752345e39193152718185",
+    "near_linear": "efb3d359551afbe82a0dacdd96509192039dc32cfd37d1c126f7c58a7143fb30",
+    "near_linear_vec": "efb3d359551afbe82a0dacdd96509192039dc32cfd37d1c126f7c58a7143fb30",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_PINNED_SOLVES))
+def test_solver_results_and_logs_are_pinned(algorithm, monkeypatch):
+    replayed = []
+    replay = DecisionLog.replay
+
+    def spy(log, graph, extend_maximal=True):
+        replayed.append(tuple(log.entries))
+        return replay(log, graph, extend_maximal)
+
+    monkeypatch.setattr(DecisionLog, "replay", spy)
+    results = []
+    for graph in CORPUS:
+        r = ALGORITHMS[algorithm](graph)
+        results.append(repr((
+            r.algorithm, r.graph_name, tuple(sorted(r.independent_set)), r.upper_bound,
+            r.peeled, r.surviving_peels, r.is_exact, tuple(sorted(r.stats.items())),
+        )))
+    assert len(replayed) == len(CORPUS)
+    assert (_digest_reprs(results), _digest_reprs(map(repr, replayed))) == (
+        _PINNED_SOLVES[algorithm]
+    )
+
+
+@pytest.mark.parametrize("method", sorted(_PINNED_KERNELS))
+def test_kernel_logs_are_pinned(method):
+    reprs = []
+    for graph in CORPUS:
+        kernel, old_ids, log = KERNEL_METHODS[method](graph)
+        reprs.append(repr((
+            tuple(log.entries), tuple(sorted(log.stats.items())), tuple(old_ids),
+            kernel.n, tuple(kernel.edges()),
+        )))
+    assert _digest_reprs(reprs) == _PINNED_KERNELS[method]
+
+
+# ----------------------------------------------------------------------
+# No per-decision garbage-collected containers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("algorithm", ["LinearTime", "NearLinear", "BDOne"])
+def test_solve_triggers_almost_no_gc_collections(algorithm):
+    # A container allocated per decision and kept until replay, such as
+    # a ``(kind, (v,))`` tuple, costs one collection every few hundred
+    # decisions: 86-92 on this graph.  Int codes cost none.
+    graph = power_law_graph(30000, 2.2, 6, seed=3)
+    solve = ALGORITHMS[algorithm]
+    solve(graph)  # warm-up: first calls import lazily and fill caches
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        solve(graph)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 5, collections

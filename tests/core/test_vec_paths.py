@@ -142,4 +142,4 @@ def test_drive_handles_empty_graph(batch_rounds):
     drive_linear_time_vec(
         workspace, stop_before_peel=False, batch_rounds=batch_rounds
     )
-    assert workspace.log.entries == []
+    assert workspace.log.entries == ()

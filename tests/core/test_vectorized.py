@@ -144,7 +144,7 @@ def test_empty_frontier_sweep_is_noop():
     graph = _irreducible_graph()
     workspace = VecWorkspace(graph, track_degree_two=True)
     assert workspace.v1 == []
-    before_entries = list(workspace.log.entries)
+    before_entries = workspace.log.entries
     before_alive = workspace.alive.copy()
     before_deg = workspace.deg.copy()
     excluded, rounds = _degree_one_rounds(workspace)

@@ -82,14 +82,14 @@ class TestHotLoopPurity:
                 # The canonical shape: chains and allocations in the
                 # prelude, locals-only loop bodies.
                 adj = ws.graph.adj
-                append_entry = ws.log.entries.append
+                append_code = ws.log.codes.append
                 buffer = []
                 total = 0
                 while ws.live:
                     u = ws.pop()
                     buffer.clear()
                     total += adj[u]
-                    append_entry(u)
+                    append_code(u)
                 return total
             """,
             HotLoopPurityRule,

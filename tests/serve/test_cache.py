@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs import Graph
 from repro.graphs.generators import gnm_random_graph
-from repro.serve import CacheEntry, KernelCache, graph_fingerprint
+from repro.serve import CacheEntry, KernelCache, SharedCacheTier, graph_fingerprint
 
 
 def _entry(tag: str, algorithm: str = "linear_time") -> CacheEntry:
@@ -98,6 +98,39 @@ class TestKernelCache:
             cache.put(_entry(tag))
         cache.get("a", "linear_time")
         assert [e.fingerprint for e in cache.entries()] == ["b", "c", "a"]
+
+
+class _KeysOnlyStore(dict):
+    """A tier store that fails if anything reads its payloads in bulk."""
+
+    def items(self):
+        raise AssertionError("eviction must not read payloads (items)")
+
+    def values(self):
+        raise AssertionError("eviction must not read payloads (values)")
+
+
+class TestSharedCacheTier:
+    def test_eviction_reads_keys_only_and_matches_oldest_put_rule(self):
+        # Reference: every put stamps its key with a fresh sequence number
+        # and a full tier drops the smallest stamp.
+        capacity = 4
+        tier = SharedCacheTier(_KeysOnlyStore(), capacity=capacity)
+        stamps = {}
+        sequence = 0
+        tags = ["a", "b", "c", "a", "d", "e", "b", "f", "a", "a", "g",
+                "c", "h", "e", "i", "h", "j", "b", "k", "g"]
+        for tag in tags:
+            tier.put(_entry(tag))
+            sequence += 1
+            stamps[f"{tag}|linear_time"] = sequence
+            while len(stamps) > capacity:
+                del stamps[min(stamps, key=stamps.__getitem__)]
+            assert list(tier._store) == sorted(stamps, key=stamps.__getitem__)
+            assert len(tier) == len(stamps)
+        for key in stamps:
+            fingerprint, algorithm = key.split("|")
+            assert tier.get(fingerprint, algorithm) == _entry(fingerprint)
 
 
 class TestCacheEntryPayload:
