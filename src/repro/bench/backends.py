@@ -13,25 +13,26 @@ differential harness:
 * ``vectorized`` — batch frontier sweeps over numpy buffers
   (:mod:`repro.core.vectorized`);
 * ``auto``       — per-instance dispatch between ``flat`` and
-  ``vectorized`` using the calibrated size/density heuristic
-  (:mod:`repro.core.auto`; recalibrate with ``repro calibrate``).
+  ``vectorized`` using the size/density heuristic
+  (:mod:`repro.core.auto`).
 
-Only the three algorithms with multi-backend drivers are swapped; BDTwo
-(whose fold workspace has no alternative backend) always runs its own
-driver, and scripts that need it fetch it directly.
+BDOne and LinearTime are swapped in every family.  NearLinear has one
+production backend, so ``vectorized`` and ``auto`` run the flat driver
+for it; BDTwo (whose fold workspace has no alternative backend) always
+runs its own driver, and scripts that need it fetch it directly.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..core.auto import bdone_auto, linear_time_auto, near_linear_auto
+from ..core.auto import bdone_auto, linear_time_auto
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time
 from ..core.near_linear import near_linear
 from ..core.result import MISResult
-from ..core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
+from ..core.vectorized import bdone_vec, linear_time_vec
 from ..core.workspace import ArrayWorkspace
 from ..graphs.static_graph import Graph
 
@@ -66,12 +67,12 @@ BACKENDS: Dict[str, Dict[str, Solver]] = {
     "vectorized": {
         "bdone": bdone_vec,
         "linear_time": linear_time_vec,
-        "near_linear": near_linear_vec,
+        "near_linear": near_linear,
     },
     "auto": {
         "bdone": bdone_auto,
         "linear_time": linear_time_auto,
-        "near_linear": near_linear_auto,
+        "near_linear": near_linear,
     },
 }
 

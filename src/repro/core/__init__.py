@@ -11,13 +11,7 @@ Public surface:
 * the Theorem-6.1 upper-bound helpers.
 """
 
-from .auto import (
-    Calibration,
-    bdone_auto,
-    choose_backend_name,
-    linear_time_auto,
-    near_linear_auto,
-)
+from .auto import bdone_auto, choose_backend_name, linear_time_auto
 from .bdone import bdone
 from .bdtwo import bdtwo
 from .components import affected_region, solve_by_components, touched_components
@@ -36,9 +30,6 @@ from .vectorized import (
     bdone_vec,
     linear_time_vec,
     linear_time_vec_reduce,
-    near_linear_vec,
-    near_linear_vec_reduce,
-    vectorized_one_pass_dominance,
 )
 from .vertex_cover import VCResult, minimum_vertex_cover
 from .workspace import ArrayWorkspace, FlatWorkspace
@@ -46,7 +37,6 @@ from .workspace import ArrayWorkspace, FlatWorkspace
 __all__ = [
     "ALGORITHMS",
     "ArrayWorkspace",
-    "Calibration",
     "affected_region",
     "touched_components",
     "FlatTriangleWorkspace",
@@ -77,10 +67,6 @@ __all__ = [
     "lp_reduction",
     "lp_upper_bound",
     "near_linear",
-    "near_linear_auto",
     "near_linear_reduce",
-    "near_linear_vec",
-    "near_linear_vec_reduce",
     "reducing_peeling_upper_bound",
-    "vectorized_one_pass_dominance",
 ]

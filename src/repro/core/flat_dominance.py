@@ -25,10 +25,11 @@ side so the differential tests can assert log-for-log equality.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from operator import sub
 from typing import List, Optional, Tuple
+
+import numpy as _np
 
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
@@ -44,60 +45,84 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
     """Degree-decreasing dominance sweep over flat CSR buffers.
 
     Returns the same removed-vertex list as
-    :func:`~repro.core.dominance.one_pass_dominance` (the outcome is
-    iteration-order independent: a vertex is removed iff *some* neighbour
-    dominates it on the current residual graph, and the outer scan order is
-    fixed).  The subset test ``N(v) ⊆ N(u) ∪ {u}`` is a stamp comparison
-    per element — no sets are built or mutated, and dead vertices are
-    skipped in place instead of being discarded from ``n`` live sets.
+    :func:`~repro.core.dominance.one_pass_dominance`: the sweep visits
+    vertices by initial degree descending, id ascending, and removes a
+    vertex iff some live neighbour of no larger current degree dominates
+    it.  The subset test ``N(v) ⊆ N(u) ∪ {u}`` is a stamp comparison per
+    element, so no sets are built or mutated.
+
+    A numpy preamble computes the sweep order (one stable argsort) and
+    certifies the *leaf wave*: a vertex with an initial leaf neighbour is
+    removed at its turn without any scan.  The leaf keeps degree one while
+    its sole neighbour lives, and that neighbour comes first in the order
+    (higher degree, or the smaller id of a K₂), so at the neighbour's turn
+    the leaf dominates it — the degree-one case of dominance.
     """
     n = graph.n
+    if n == 0:
+        return []
     xadj, adj = graph.csr_arrays()  # read-only tuples: the sweep never mutates adjacency
-    deg = list(map(sub, xadj[1:], xadj))
-    alive = bytearray([1]) * n if n else bytearray()
+    offsets = _np.array(xadj, dtype=_np.int64)
+    degrees = _np.diff(offsets)
+    is_leaf = degrees == 1
+    leaves = _np.flatnonzero(is_leaf)
+    certified = _np.zeros(n, dtype=_np.uint8)
+    if leaves.size:
+        # A leaf's row holds only its partner: one read per leaf.
+        partner = _np.fromiter(
+            map(adj.__getitem__, offsets[leaves].tolist()),
+            dtype=_np.int64,
+            count=int(leaves.size),
+        )
+        certified[partner[degrees[partner] >= 2]] = 1
+        certified[leaves[is_leaf[partner] & (leaves < partner)]] = 1
+    leaf_wave = certified.tobytes()
+    order = _np.argsort(-degrees, kind="stable").tolist()
+    # Liveness is folded into ``deg``: a removed vertex gets degree 0, and
+    # a live vertex in a live vertex's row has degree >= 1.
+    deg = degrees.tolist()
     stamp = [0] * n
     clock = 0
-    order = sorted(range(n), key=deg.__getitem__, reverse=True)
     removed: List[int] = []
     candidates: List[int] = []  # reused across iterations (hot-loop purity)
     for u in order:
-        if not alive[u]:
-            continue
         du = deg[u]
-        clock += 1
+        if not du:
+            continue
         row_u = adj[xadj[u] : xadj[u + 1]]
-        dominated = False
-        candidates.clear()
-        for w in row_u:
-            if alive[w]:
-                stamp[w] = clock
-                dw = deg[w]
-                if dw <= du:
-                    if dw == 1:
-                        # Leaf neighbour: N[w] = {w, u} ⊆ N[u], no scan needed.
-                        dominated = True
-                    else:
-                        candidates.append(w)
-        if not dominated and candidates:
-            # Cheapest candidate first: a low-degree neighbour is both the
-            # likeliest dominator and the cheapest subset test, and the
-            # outcome is dominator-order independent.
-            candidates.sort(key=deg.__getitem__)
-            for v in candidates:
-                # v dominates u iff every other live neighbour of v is marked.
-                for x in adj[xadj[v] : xadj[v + 1]]:
-                    if alive[x] and x != u and stamp[x] != clock:
-                        break
-                else:
-                    dominated = True
-                    break
-        if dominated:
-            alive[u] = 0
-            removed.append(u)
+        dominated = leaf_wave[u] != 0
+        if not dominated:
+            clock += 1
+            candidates.clear()
             for w in row_u:
-                if alive[w]:
-                    deg[w] -= 1
+                dw = deg[w]
+                if dw:
+                    stamp[w] = clock
+                    if dw <= du:
+                        if dw == 1:
+                            # A leaf neighbour dominates u outright.
+                            dominated = True
+                            break
+                        candidates.append(w)
+            if not dominated and candidates:
+                # Cheapest candidate first: a low-degree neighbour is both
+                # the likeliest dominator and the cheapest subset test, and
+                # the outcome is dominator-order independent.
+                candidates.sort(key=deg.__getitem__)
+                for v in candidates:
+                    # v dominates u iff every other live neighbour of v is marked.
+                    for x in adj[xadj[v] : xadj[v + 1]]:
+                        if deg[x] and x != u and stamp[x] != clock:
+                            break
+                    else:
+                        dominated = True
+                        break
+        if dominated:
+            removed.append(u)
             deg[u] = 0
+            for w in row_u:
+                if deg[w]:
+                    deg[w] -= 1
     return removed
 
 

@@ -26,15 +26,16 @@ from .bdtwo import bdtwo
 from .linear_time import linear_time
 from .near_linear import near_linear
 from .result import MISResult
-from .auto import bdone_auto, linear_time_auto, near_linear_auto
-from .vectorized import bdone_vec, linear_time_vec, near_linear_vec
+from .auto import bdone_auto, linear_time_auto
+from .vectorized import bdone_vec, linear_time_vec
 
 __all__ = ["ALGORITHMS", "compute_independent_set"]
 
 #: The paper's four reducing-peeling algorithms (Table 1), by name, plus
-#: the vectorized backend variants (``*-vec`` — batch frontier sweeps over
-#: numpy buffers, see :mod:`repro.core.vectorized`) and the calibrated
-#: per-instance dispatchers (``*-auto``, see :mod:`repro.core.auto`).
+#: the vectorized backend variants of BDOne and LinearTime (``*-vec`` —
+#: batch frontier sweeps over numpy buffers, see
+#: :mod:`repro.core.vectorized`) and their per-instance dispatchers
+#: (``*-auto``, see :mod:`repro.core.auto`).
 ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "BDOne": bdone,
     "BDTwo": bdtwo,
@@ -42,19 +43,19 @@ ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "NearLinear": near_linear,
     "BDOne-vec": bdone_vec,
     "LinearTime-vec": linear_time_vec,
-    "NearLinear-vec": near_linear_vec,
     "BDOne-auto": bdone_auto,
     "LinearTime-auto": linear_time_auto,
-    "NearLinear-auto": near_linear_auto,
 }
 
 
 def compute_independent_set(graph: Graph, algorithm: str = "NearLinear") -> MISResult:
     """Run one of the reducing-peeling algorithms by name.
 
-    ``algorithm`` is one of ``"BDOne"``, ``"BDTwo"``, ``"LinearTime"``,
-    ``"NearLinear"`` (case-insensitive).  Raises
-    :class:`~repro.errors.ReproError` for unknown names.
+    ``algorithm`` is any :data:`ALGORITHMS` name, case-insensitive:
+    ``"BDOne"``, ``"BDTwo"``, ``"LinearTime"``, ``"NearLinear"``,
+    ``"BDOne-vec"``, ``"LinearTime-vec"``, ``"BDOne-auto"`` or
+    ``"LinearTime-auto"``.  Raises :class:`~repro.errors.ReproError` for
+    unknown names.
     """
     key = algorithm.strip().lower()
     for name, fn in ALGORITHMS.items():

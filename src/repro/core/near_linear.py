@@ -99,7 +99,6 @@ def _preprocess(
     preprocess: bool,
     flat: bool = True,
     telemetry: Any = None,
-    sweep: Optional[Callable[[Graph], List[int]]] = None,
 ) -> Tuple[Graph, List[int]]:
     """Phases 1–2: one-pass dominance, then the LP reduction.
 
@@ -107,11 +106,9 @@ def _preprocess(
     and its id map.  ``flat`` picks the stamp-based sweep over the
     set-based oracle — both produce the identical removed list (the
     differential suite asserts it), so this only changes the constant.
-    ``sweep`` overrides the phase-1 sweep entirely (the vectorized backend
-    passes :func:`~repro.core.vectorized.vectorized_one_pass_dominance`,
-    which again returns the identical removed list).  Phase 2 is
-    :func:`~repro.core.lp_reduction.lp_reduction` for every backend:
-    scipy maximum bipartite matching + one König reachability pass.
+    Phase 2 is :func:`~repro.core.lp_reduction.lp_reduction` for every
+    backend: scipy maximum bipartite matching + one König reachability
+    pass.
     ``telemetry`` wraps the two phases in ``dominance-sweep`` /
     ``lp-kernel`` spans when a sink is active.
     """
@@ -120,8 +117,7 @@ def _preprocess(
     with phase(
         telemetry, "dominance-sweep", algorithm="NearLinear", graph=graph.name
     ) as span:
-        if sweep is None:
-            sweep = flat_one_pass_dominance if flat else one_pass_dominance
+        sweep = flat_one_pass_dominance if flat else one_pass_dominance
         dominated = sweep(graph)
         # Bulk-append the phase decisions: phases 1–2 settle most
         # vertices, so their records are encoded in numpy, not one by one.
@@ -158,7 +154,6 @@ def near_linear(
     graph: Graph,
     preprocess: bool = True,
     workspace_factory: Optional[Callable[..., object]] = None,
-    sweep: Optional[Callable[[Graph], List[int]]] = None,
 ) -> MISResult:
     """Compute a maximal independent set of ``graph`` with NearLinear.
 
@@ -169,8 +164,7 @@ def near_linear(
     the replacement must implement the dominance protocol — pass
     :class:`~repro.core.dominance.TriangleWorkspace` to pin the
     list-of-dicts oracle, as the differential tests do).  Both backends
-    produce byte-identical decision logs.  ``sweep`` overrides the
-    phase-1 dominance sweep (see :func:`_preprocess`).
+    produce byte-identical decision logs.
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
@@ -178,7 +172,7 @@ def near_linear(
     factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
     residual, ids = _preprocess(
         graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep,
+        telemetry=telemetry,
     )
     if telemetry is not None:
         factory = instrumented_factory(factory, telemetry, "NearLinear", graph.name)
@@ -211,22 +205,20 @@ def near_linear_reduce(
     graph: Graph,
     preprocess: bool = True,
     workspace_factory: Optional[Callable[..., object]] = None,
-    sweep: Optional[Callable[[Graph], List[int]]] = None,
 ) -> Tuple[Graph, List[int], DecisionLog]:
     """Kernelize ``graph`` with NearLinear's exact rules only (no peeling).
 
     Returns ``(kernel, old_ids, log)`` exactly like
     :func:`repro.core.linear_time.linear_time_reduce`; used by ARW-NL and
     the Eval-III kernel comparison, and to report the paper's
-    "kernel graph size by NearLinear" column of Table 3.  ``sweep``
-    overrides the phase-1 sweep (see :func:`_preprocess`).
+    "kernel graph size by NearLinear" column of Table 3.
     """
     telemetry = get_telemetry()
     log = DecisionLog()
     factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
     residual, ids = _preprocess(
         graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep,
+        telemetry=telemetry,
     )
     if telemetry is not None:
         factory = instrumented_factory(

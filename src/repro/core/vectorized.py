@@ -46,15 +46,11 @@ kernel export, the serve layer) unchanged.
 The decision *sequence* may differ from the flat backend inside a round
 (batch order instead of LIFO order), so the differential contract is the
 canonicalized one: a valid independent set of identical size, with the
-log replaying cleanly.  :func:`vectorized_one_pass_dominance` is stronger:
-it returns the byte-identical removed list of
-:func:`~repro.core.flat_dominance.flat_one_pass_dominance` (the numpy wave
-only pre-certifies vertices that are provably removed at their sweep turn).
+log replaying cleanly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import replace
 from typing import Any, List, Optional, Tuple
 
@@ -74,9 +70,6 @@ __all__ = [
     "bdone_vec",
     "linear_time_vec",
     "linear_time_vec_reduce",
-    "near_linear_vec",
-    "near_linear_vec_reduce",
-    "vectorized_one_pass_dominance",
 ]
 
 
@@ -581,112 +574,6 @@ def drive_bdone_vec(workspace: VecWorkspace, batch_rounds: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
-# Vectorized one-pass dominance (NearLinear phase 1)
-# ----------------------------------------------------------------------
-@hot_loop
-def vectorized_one_pass_dominance(graph: Graph) -> List[int]:
-    """The degree-decreasing dominance sweep with a vectorized prefilter.
-
-    Returns the **byte-identical** removed list of
-    :func:`~repro.core.flat_dominance.flat_one_pass_dominance`.  The numpy
-    preamble computes the sweep order (one stable argsort instead of an
-    O(n log n) interpreted sort) and pre-certifies the *leaf wave*: every
-    vertex with an initial leaf neighbour is provably dominated at its own
-    sweep turn — a leaf's degree cannot change while its sole neighbour is
-    alive, and the sweep order (initial degree descending, id ascending)
-    guarantees the neighbour's turn comes first — so the sweep removes it
-    without any subset scans.  For K₂ components the earlier endpoint
-    (smaller id) is certified by the same argument.  Everything else runs
-    an exact subset test equivalent to the flat sweep's, on identical
-    state at every turn, so the decision sequence never diverges.
-    """
-    np = _np
-    n = graph.n
-    if n == 0:
-        return []
-    offsets, targets = graph.flat_csr()
-    xadj64 = np.frombuffer(offsets, dtype=np.int64)
-    if len(targets):
-        adj32 = np.frombuffer(targets, dtype=np.int32)
-    else:
-        adj32 = np.zeros(0, dtype=np.int32)
-    degv = np.diff(xadj64)
-    # Leaf wave: vertices certain to be removed at their turn.  A leaf's
-    # row holds exactly its partner, so the set of vertices with an
-    # initial leaf neighbour is just the (deduplicating) scatter of the
-    # leaf partners — no per-edge pass needed.
-    is_leaf = degv == 1
-    leaf_ids = np.flatnonzero(is_leaf)
-    certified = np.zeros(n, dtype=bool)
-    if leaf_ids.size:
-        partner = adj32[xadj64[leaf_ids]].astype(np.int64)
-        certified[partner[degv[partner] >= 2]] = True
-        certified[leaf_ids[is_leaf[partner] & (leaf_ids < partner)]] = True
-    skip_test = bytearray(certified.astype(np.uint8).tobytes())
-    # Stable argsort on negated degree == (degree desc, id asc).
-    order = np.argsort(-degv, kind="stable").tolist()
-    deg = degv.tolist()
-    xadj = xadj64.tolist()
-    adj = adj32.tolist()
-    # Scalar sweep — identical decision sequence to flat_one_pass_dominance.
-    # Three restructurings, none able to change a decision:
-    #
-    # * candidates-first: rows that produce no candidates (or are
-    #   dominated by a leaf outright) never reach the subset scans;
-    # * subset tests by binary search: ``N[v] ⊆ N[u]`` is checked by
-    #   bisecting each live ``x ∈ N(v)`` into ``u``'s sorted row (the
-    #   :meth:`~repro.graphs.static_graph.Graph.flat_csr` contract)
-    #   instead of stamping ``u``'s whole neighbourhood first — the
-    #   sweep order visits hubs first, whose O(Δ) stamping passes almost
-    #   always certified a *non*-removal.  The test itself is exact, so
-    #   the decision boolean is unchanged;
-    # * liveness folded into ``deg``: a removed vertex gets ``deg 0``,
-    #   and inside any scanned row a live vertex always has ``deg ≥ 1``
-    #   (it is adjacent to the live row owner), so ``deg[w] != 0`` is
-    #   equivalent to the separate ``alive[w]`` flag.  A live vertex that
-    #   *became* isolated is skipped at its turn, where the original
-    #   scanned its all-dead row and decided nothing.
-    removed: List[int] = []
-    candidates: List[int] = []
-    for u in order:
-        du = deg[u]
-        if not du:
-            continue
-        row_u = adj[xadj[u] : xadj[u + 1]]
-        dominated = False
-        if skip_test[u]:
-            dominated = True
-        else:
-            candidates.clear()
-            for w in row_u:
-                dw = deg[w]
-                if dw and dw <= du:
-                    if dw == 1:
-                        dominated = True
-                        break
-                    candidates.append(w)
-            if not dominated and candidates:
-                row_len = len(row_u)
-                candidates.sort(key=deg.__getitem__)
-                for v in candidates:
-                    for x in adj[xadj[v] : xadj[v + 1]]:
-                        if deg[x] and x != u:
-                            j = bisect_left(row_u, x)
-                            if j >= row_len or row_u[j] != x:
-                                break
-                    else:
-                        dominated = True
-                        break
-        if dominated:
-            removed.append(u)
-            deg[u] = 0
-            for w in row_u:
-                if deg[w]:
-                    deg[w] -= 1
-    return removed
-
-
-# ----------------------------------------------------------------------
 # Registry-facing solvers (module-level, picklable by reference)
 # ----------------------------------------------------------------------
 def linear_time_vec(graph: Graph) -> MISResult:
@@ -708,33 +595,9 @@ def bdone_vec(graph: Graph) -> MISResult:
     )
 
 
-def near_linear_vec(graph: Graph) -> MISResult:
-    """NearLinear with the vectorized dominance sweep (``NearLinear-vec``).
-
-    Phase 1 runs :func:`vectorized_one_pass_dominance` (identical removed
-    list); phase 2 is the shared
-    :func:`~repro.core.lp_reduction.lp_reduction` (scipy maximum bipartite
-    matching + one König reachability pass), so the whole downstream
-    pipeline (LP kernel, triangle workspace, peels) matches the flat
-    backend decision-for-decision.
-    """
-    from .near_linear import near_linear
-
-    return replace(
-        near_linear(graph, sweep=vectorized_one_pass_dominance),
-        algorithm="NearLinear-vec",
-    )
-
-
 def linear_time_vec_reduce(graph: Graph) -> Tuple[Graph, List[int], DecisionLog]:
     """Kernelize with LinearTime's exact rules on the vectorized backend."""
     from .linear_time import linear_time_reduce
 
     return linear_time_reduce(graph, workspace_factory=VecWorkspace)
 
-
-def near_linear_vec_reduce(graph: Graph) -> Tuple[Graph, List[int], DecisionLog]:
-    """Kernelize with NearLinear's exact rules, vectorized phase 1."""
-    from .near_linear import near_linear_reduce
-
-    return near_linear_reduce(graph, sweep=vectorized_one_pass_dominance)

@@ -97,7 +97,7 @@ METRIC_SERVE_FULL_RESOLVES = "repro_serve_full_resolves_total"
 #: Timeout degradations: the budget ran out and a patched stale answer shipped.
 METRIC_SERVE_STALE_RETURNS = "repro_serve_stale_returns_total"
 #: The ``auto`` dispatcher's per-solve decision, labelled ``backend``
-#: (flat / vectorized) and ``family`` (bdone / linear_time / near_linear).
+#: (flat / vectorized) and ``family`` (bdone / linear_time).
 METRIC_AUTO_BACKEND_PICKS = "repro_auto_backend_picks_total"
 #: Kernel-cache lookups that missed locally but hit the fleet-shared tier
 #: (a graph kernelized by one shard worker answering on another).

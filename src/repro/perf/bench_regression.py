@@ -52,12 +52,12 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.verify import is_independent_set
-from ..core.auto import STAT_AUTO_VEC, linear_time_auto, near_linear_auto
+from ..core.auto import STAT_AUTO_VEC, linear_time_auto
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time, linear_time_reduce
 from ..core.near_linear import near_linear, near_linear_reduce
-from ..core.vectorized import linear_time_vec, near_linear_vec
+from ..core.vectorized import linear_time_vec
 from ..core.workspace import ArrayWorkspace, FlatWorkspace
 from ..graphs.generators import gnm_random_graph, power_law_graph, web_like_graph
 from ..graphs.static_graph import Graph
@@ -82,20 +82,18 @@ SCHEMA_VERSION = 8
 #: the wall-time field inside it.  LinearTime is the paper's headline
 #: contribution; NearLinear and ARW-LT gate the flat dominance workspace
 #: and the flat local-search state respectively; ServeIncremental gates
-#: the serving layer's localized-repair latency on mutation streams; the
-#: ``*_vec`` tracks gate the vectorized frontier-sweep backend
-#: (:mod:`repro.core.vectorized`); the ``*_auto`` tracks gate the
-#: calibrated dispatcher (:mod:`repro.core.auto`) — its wall time, and
-#: (inside the record) how far it sits from the best fixed backend.
+#: the serving layer's localized-repair latency on mutation streams;
+#: ``linear_time_vec`` gates the vectorized frontier-sweep backend
+#: (:mod:`repro.core.vectorized`); ``linear_time_auto`` gates the
+#: dispatcher (:mod:`repro.core.auto`) — its wall time, and (inside the
+#: record) how far it sits from the best fixed backend.
 GATED_TRACKS: Dict[str, Tuple[str, str]] = {
     "linear_time": ("LinearTime", "flat_wall"),
     "near_linear": ("NearLinear", "flat_wall"),
     "arw_lt": ("ARW-LT", "flat_wall"),
     "serve_incremental": ("ServeIncremental", "repair_wall"),
     "linear_time_vec": ("LinearTime-vec", "vec_wall"),
-    "near_linear_vec": ("NearLinear-vec", "vec_wall"),
     "linear_time_auto": ("LinearTime-auto", "auto_wall"),
-    "near_linear_auto": ("NearLinear-auto", "auto_wall"),
     "serve_load": ("ServeLoad", "async_wall"),
 }
 
@@ -222,16 +220,13 @@ def _time_vec_track(
     graph: Graph,
     repeats: int,
     oracle_factory: type,
-    exact_match: bool,
 ) -> Dict[str, float]:
     """Time a vectorized solver against the flat and legacy-oracle runs.
 
     Unlike :func:`_time_backends`, the vectorized solver may legally pick a
     *different* (equally valid) decision sequence inside a batch round, so
     the solution-set assertion is validity plus size accounting rather than
-    set equality — except when ``exact_match`` is set (NearLinear-vec's
-    phase-1 sweep is byte-identical to the flat one, so its whole pipeline
-    must agree exactly).  On the suite graphs the only observed divergence
+    set equality.  On the suite graphs the only observed divergence
     is LinearTime-vec finding a slightly *larger* set on the G(n,m) inputs
     (replay salvages one extra peeled vertex); the report records both
     sizes so any quality drift is visible in review.
@@ -242,14 +237,11 @@ def _time_vec_track(
         lambda: flat_algorithm(graph, workspace_factory=oracle_factory), repeats
     )
     assert is_independent_set(graph, vec_result.independent_set)
-    if exact_match:
-        assert vec_result.independent_set == flat_result.independent_set
-    else:
-        # Quality guard in the spirit of the serve track's 95% check, but
-        # tighter: a silent quality collapse fails the bench run itself.
-        assert len(vec_result.independent_set) >= 0.995 * len(
-            flat_result.independent_set
-        ), (len(vec_result.independent_set), len(flat_result.independent_set))
+    # Quality guard in the spirit of the serve track's 95% check, but
+    # tighter: a silent quality collapse fails the bench run itself.
+    assert len(vec_result.independent_set) >= 0.995 * len(
+        flat_result.independent_set
+    ), (len(vec_result.independent_set), len(flat_result.independent_set))
     return {
         "vec_wall": vec_wall,
         "flat_wall": flat_wall,
@@ -271,7 +263,7 @@ def _time_auto_track(
 ) -> Dict[str, object]:
     """Time the auto dispatcher and score it against the fixed backends.
 
-    ``vec_record`` is the just-measured vec track for the same family
+    ``vec_record`` is the just-measured LinearTime-vec track
     (``vec_wall`` / ``flat_wall``): the best fixed wall is their minimum,
     and ``vs_best`` is the acceptance-criterion ratio — 1.0 means the
     dispatcher matched the best fixed backend exactly; anything beyond
@@ -535,22 +527,10 @@ def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, objec
                 graph,
                 repeats,
                 oracle_factory=ArrayWorkspace,
-                exact_match=False,
-            )
-            timings["NearLinear-vec"] = _time_vec_track(
-                near_linear_vec,
-                near_linear,
-                graph,
-                repeats,
-                oracle_factory=TriangleWorkspace,
-                exact_match=True,
             )
         if auto_tracks:
             timings["LinearTime-auto"] = _time_auto_track(
                 linear_time_auto, graph, repeats, timings["LinearTime-vec"]
-            )
-            timings["NearLinear-auto"] = _time_auto_track(
-                near_linear_auto, graph, repeats, timings["NearLinear-vec"]
             )
         if classic and deep:
             arw_track = _time_arw_lt(graph, repeats)
@@ -589,7 +569,6 @@ def run_telemetry_pass(suite: str) -> Tuple[List[Dict[str, object]], Dict[str, o
             linear_time(graph)
             near_linear(graph)
             linear_time_vec(graph)
-            near_linear_vec(graph)
             if deep:
                 arw_lt(
                     graph,

@@ -31,12 +31,12 @@ import time
 from array import array
 from typing import Callable, List, Optional, Tuple, Union
 
-from ..core.auto import bdone_auto, linear_time_auto, near_linear_auto
+from ..core.auto import bdone_auto, linear_time_auto
 from ..core.bdone import bdone
 from ..core.linear_time import linear_time
 from ..core.near_linear import near_linear
 from ..core.result import MISResult
-from ..core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
+from ..core.vectorized import bdone_vec, linear_time_vec
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
 from ..obs.telemetry import disable, enable, get_telemetry
@@ -58,21 +58,20 @@ DEFAULT_PARALLEL_THRESHOLD = 2_000
 #: Algorithms dispatchable by name over the raw CSR byte-buffer protocol.
 #: Names ship to the workers instead of pickled callables, so the payload
 #: stays three byte strings plus two short strings per component.  The
-#: ``*_vec`` entries are the vectorized-backend solvers — module-level
-#: functions in :mod:`repro.core.vectorized`, so they pickle by reference
-#: exactly like the scalar ones.  The ``*_auto`` entries dispatch between
-#: flat and vectorized per graph (:mod:`repro.core.auto`); handed to the
-#: component pool, each *component* gets its own backend pick.
+#: ``*_vec`` entries are the vectorized BDOne/LinearTime solvers —
+#: module-level functions in :mod:`repro.core.vectorized`, so they pickle
+#: by reference exactly like the scalar ones.  The ``*_auto`` entries
+#: dispatch between flat and vectorized per graph (:mod:`repro.core.auto`);
+#: handed to the component pool, each *component* gets its own backend
+#: pick.
 ALGORITHM_BY_NAME: dict = {
     "bdone": bdone,
     "linear_time": linear_time,
     "near_linear": near_linear,
     "bdone_vec": bdone_vec,
     "linear_time_vec": linear_time_vec,
-    "near_linear_vec": near_linear_vec,
     "bdone_auto": bdone_auto,
     "linear_time_auto": linear_time_auto,
-    "near_linear_auto": near_linear_auto,
 }
 
 

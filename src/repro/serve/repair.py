@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..core.components import affected_region
 from ..core.result import MISResult
 from ..core.trace import extend_to_maximal
+from ..errors import ReproError
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
 from ..perf.parallel import (
@@ -72,7 +73,7 @@ def cold_solve(
         try:
             solver = ALGORITHM_BY_NAME[algorithm]
         except KeyError:
-            raise ValueError(
+            raise ReproError(
                 f"unknown algorithm name {algorithm!r}; "
                 f"registered: {sorted(ALGORITHM_BY_NAME)}"
             ) from None

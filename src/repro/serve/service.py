@@ -39,12 +39,11 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
 from ..core.auto import STAT_AUTO_FLAT, STAT_AUTO_VEC
-from ..core.kernel import KernelResult, kernelize
+from ..core.kernel import KERNEL_METHODS, KernelResult, kernelize
 from ..core.result import (
-    MISResult,
     STAT_SERVE_CACHE_HIT,
     STAT_SERVE_CACHE_MISS,
     STAT_SERVE_FULL_RESOLVE,
@@ -73,7 +72,7 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.telemetry import get_telemetry, phase
-from ..perf.parallel import DEFAULT_PARALLEL_THRESHOLD
+from ..perf.parallel import ALGORITHM_BY_NAME, DEFAULT_PARALLEL_THRESHOLD
 from .cache import CacheEntry, KernelCache
 from .context import RequestContext
 from .dynamic_graph import DynamicGraph, Mutation
@@ -230,6 +229,18 @@ class SolverService:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config or ServiceConfig()
+        # Fail at construction, not at the first solve: a snapshot or a
+        # command line naming an unregistered solver is rejected up front.
+        if self.config.algorithm not in ALGORITHM_BY_NAME:
+            raise ReproError(
+                f"unknown algorithm {self.config.algorithm!r}; "
+                f"registered: {sorted(ALGORITHM_BY_NAME)}"
+            )
+        if self.config.kernel_method not in KERNEL_METHODS:
+            raise ReproError(
+                f"unknown kernel method {self.config.kernel_method!r}; "
+                f"registered: {sorted(KERNEL_METHODS)}"
+            )
         #: One registry shared by the service, its cache, and — when the
         #: process enabled metrics globally — the exposition endpoints.
         #: Sharing is load-bearing: it is what keeps :meth:`counters` and a

@@ -208,10 +208,8 @@ class TestFrameworkDispatch:
             "NearLinear",
             "BDOne-vec",
             "LinearTime-vec",
-            "NearLinear-vec",
             "BDOne-auto",
             "LinearTime-auto",
-            "NearLinear-auto",
         }
 
     def test_dispatch_case_insensitive(self):

@@ -1,20 +1,19 @@
-"""Tests for the ``auto`` backend dispatcher and its calibration (ISSUE 7)."""
+"""Tests for the ``auto`` backend dispatcher and its fixed thresholds."""
 
 import json
 
 import pytest
 
 from repro.bench.backends import BACKENDS, resolve_backend
-from repro.bench.calibrate import _fit_crossover, run_calibration
 from repro.core import auto
 from repro.core.auto import (
-    DEFAULT_CALIBRATION,
-    Calibration,
+    CROSSOVER_N,
+    MIN_LOW_FRAC,
     bdone_auto,
     choose_backend_name,
     linear_time_auto,
-    near_linear_auto,
 )
+from repro.core.near_linear import near_linear
 from repro.graphs.generators import (
     gnm_random_graph,
     power_law_graph,
@@ -22,105 +21,60 @@ from repro.graphs.generators import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_calibration_cache():
-    auto.reset_calibration_cache()
-    yield
-    auto.reset_calibration_cache()
-
-
 # ----------------------------------------------------------------------
 # The heuristic
 # ----------------------------------------------------------------------
 def test_choose_backend_respects_size_crossover():
+    assert (CROSSOVER_N, MIN_LOW_FRAC) == (3_500, 0.25)
     small = power_law_graph(300, beta=2.3, average_degree=5.0, seed=1)
     large = power_law_graph(4_000, beta=2.2, average_degree=6.0, seed=3)
-    for family in ("bdone", "linear_time", "near_linear"):
-        assert choose_backend_name(small, family, DEFAULT_CALIBRATION) == "flat"
-    assert (
-        choose_backend_name(large, "linear_time", DEFAULT_CALIBRATION)
-        == "vectorized"
-    )
-    assert (
-        choose_backend_name(large, "near_linear", DEFAULT_CALIBRATION)
-        == "vectorized"
-    )
+    assert choose_backend_name(small) == "flat"
+    assert choose_backend_name(large) == "vectorized"
+
+
+def test_choose_backend_per_family_crossovers_split_web3k():
+    # n=3000 web-like graphs sit just below the crossover: LinearTime and
+    # BDOne dispatch flat there, and NearLinear, which has one backend,
+    # is the same solver under every backend name.
+    web = web_like_graph(3_000, attach=3, seed=5)
+    assert choose_backend_name(web) == "flat"
+    assert linear_time_auto(web).stats.get(auto.STAT_AUTO_FLAT) == 1
+    assert bdone_auto(web).stats.get(auto.STAT_AUTO_FLAT) == 1
+    assert resolve_backend("auto")["near_linear"] is near_linear
 
 
 def test_choose_backend_rejects_low_degree_poor_graphs():
     # G(n, m) graphs have almost no degree-<=2 mass: the vec backend pays
     # its round setup for nothing there, so auto must stay flat at any n.
     gnm = gnm_random_graph(3_000, 9_000, seed=4)
-    for family in ("bdone", "linear_time", "near_linear"):
-        assert choose_backend_name(gnm, family, DEFAULT_CALIBRATION) == "flat"
-
-
-def test_choose_backend_per_family_crossovers_split_web3k():
-    # The measured suite constraint that forces per-family thresholds:
-    # at n=3000 web-like graphs, NearLinear already wins vectorized while
-    # LinearTime still loses — the same graph must dispatch differently.
-    web = web_like_graph(3_000, attach=3, seed=5)
-    assert choose_backend_name(web, "linear_time", DEFAULT_CALIBRATION) == "flat"
-    assert (
-        choose_backend_name(web, "near_linear", DEFAULT_CALIBRATION)
-        == "vectorized"
-    )
-
-
-def test_choose_backend_with_injected_calibration():
-    graph = power_law_graph(500, beta=2.3, average_degree=5.0, seed=1)
-    eager = Calibration(crossover_n={"linear_time": 10}, min_low_frac=0.0)
-    assert choose_backend_name(graph, "linear_time", eager) == "vectorized"
-    never = Calibration(crossover_n={"linear_time": 10**9})
-    assert choose_backend_name(graph, "linear_time", never) == "flat"
+    assert choose_backend_name(gnm) == "flat"
+    dense = gnm_random_graph(4_000, 16_000, seed=4)
+    assert choose_backend_name(dense) == "flat"
 
 
 def test_calibration_bdone_falls_back_to_linear_time():
-    calibration = Calibration(crossover_n={"linear_time": 123})
-    assert calibration.crossover_for("bdone") == 123
-    assert calibration.crossover_for("linear_time") == 123
-
-
-# ----------------------------------------------------------------------
-# Persistence
-# ----------------------------------------------------------------------
-def test_calibration_env_round_trip(tmp_path, monkeypatch):
-    path = tmp_path / "calibration.json"
-    monkeypatch.setenv(auto.CALIBRATION_ENV, str(path))
-    auto.reset_calibration_cache()
-    assert auto.calibration_path() == str(path)
-    # Missing file -> defaults.
-    assert auto.load_calibration() is DEFAULT_CALIBRATION
-    auto.reset_calibration_cache()
-    original = Calibration(
-        crossover_n={"linear_time": 7_777, "near_linear": 3_333},
-        min_low_frac=0.4,
-    )
-    path.write_text(json.dumps(original.to_payload()))
-    loaded = auto.load_calibration()
-    assert loaded.crossover_n == original.crossover_n
-    assert loaded.min_low_frac == original.min_low_frac
-    assert loaded.source == str(path)
+    # BDOne shares LinearTime's workspace and therefore its thresholds:
+    # both dispatchers pick the same side on either side of the crossover.
+    small = power_law_graph(300, beta=2.3, average_degree=5.0, seed=1)
+    large = power_law_graph(4_000, beta=2.2, average_degree=6.0, seed=3)
+    for graph, stat in ((small, auto.STAT_AUTO_FLAT), (large, auto.STAT_AUTO_VEC)):
+        assert bdone_auto(graph).stats.get(stat) == 1
+        assert linear_time_auto(graph).stats.get(stat) == 1
 
 
 def test_corrupt_calibration_file_falls_back_to_defaults(tmp_path, monkeypatch):
-    path = tmp_path / "calibration.json"
-    path.write_text("{not json")
-    monkeypatch.setenv(auto.CALIBRATION_ENV, str(path))
-    auto.reset_calibration_cache()
-    assert auto.load_calibration() is DEFAULT_CALIBRATION
-
-
-def test_load_calibration_is_cached(tmp_path, monkeypatch):
-    path = tmp_path / "calibration.json"
-    path.write_text(
-        json.dumps(Calibration(crossover_n={"linear_time": 42}).to_payload())
-    )
-    monkeypatch.setenv(auto.CALIBRATION_ENV, str(path))
-    auto.reset_calibration_cache()
-    first = auto.load_calibration()
-    path.unlink()
-    assert auto.load_calibration() is first  # cached, not re-read
+    # Dispatch reads no per-machine file: neither a corrupt nor a stale
+    # calibration at the old cache location moves the thresholds.
+    cache = tmp_path / "repro"
+    cache.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    small = power_law_graph(500, beta=2.3, average_degree=5.0, seed=1)
+    for text in ("{not json", json.dumps({"crossover_n": {"linear_time": 10},
+                                         "min_low_frac": 0.0})):
+        (cache / "calibration.json").write_text(text)
+        assert choose_backend_name(small) == "flat"
+        assert linear_time_auto(small).stats.get(auto.STAT_AUTO_FLAT) == 1
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +85,6 @@ def test_auto_solvers_rename_and_record_pick():
     for solver, name in (
         (bdone_auto, "BDOne-auto"),
         (linear_time_auto, "LinearTime-auto"),
-        (near_linear_auto, "NearLinear-auto"),
     ):
         result = solver(small)
         assert result.algorithm == name
@@ -142,24 +95,24 @@ def test_auto_solvers_rename_and_record_pick():
 def test_auto_matches_fixed_backend_solution():
     # Below the crossover auto must be *exactly* the flat solver's result
     # (same decisions, same set) — dispatch adds routing, not behaviour.
+    from repro.core.bdone import bdone
     from repro.core.linear_time import linear_time
-    from repro.core.near_linear import near_linear
 
     graph = web_like_graph(400, attach=2, seed=5)
     assert (
         linear_time_auto(graph).independent_set
         == linear_time(graph).independent_set
     )
-    assert (
-        near_linear_auto(graph).independent_set
-        == near_linear(graph).independent_set
-    )
+    assert bdone_auto(graph).independent_set == bdone(graph).independent_set
 
 
 def test_resolve_backend_accepts_auto_and_rejects_unknown():
     family = resolve_backend("auto")
     assert set(family) == {"bdone", "linear_time", "near_linear"}
     assert family["linear_time"] is linear_time_auto
+    # NearLinear has one production backend, whatever the family.
+    for name in ("flat", "vectorized", "auto"):
+        assert BACKENDS[name]["near_linear"] is near_linear
     with pytest.raises(ValueError) as excinfo:
         resolve_backend("turbo")
     message = str(excinfo.value)
@@ -171,13 +124,11 @@ def test_auto_registered_everywhere():
     from repro.core import ALGORITHMS, compute_independent_set
     from repro.perf.parallel import ALGORITHM_BY_NAME
 
-    assert {"BDOne-auto", "LinearTime-auto", "NearLinear-auto"} <= set(ALGORITHMS)
-    assert {"bdone_auto", "linear_time_auto", "near_linear_auto"} <= set(
-        ALGORITHM_BY_NAME
-    )
+    assert {"BDOne-auto", "LinearTime-auto"} <= set(ALGORITHMS)
+    assert {"bdone_auto", "linear_time_auto"} <= set(ALGORITHM_BY_NAME)
     graph = power_law_graph(200, beta=2.3, average_degree=4.0, seed=3)
-    assert compute_independent_set(graph, "NearLinear-auto").algorithm == (
-        "NearLinear-auto"
+    assert compute_independent_set(graph, "LinearTime-auto").algorithm == (
+        "LinearTime-auto"
     )
 
 
@@ -197,79 +148,7 @@ def test_auto_dispatchable_from_serve():
     from repro.serve import ServiceConfig, SolverService
 
     graph = power_law_graph(300, beta=2.3, average_degree=5.0, seed=1)
-    service = SolverService(ServiceConfig(algorithm="near_linear_auto"))
+    service = SolverService(ServiceConfig(algorithm="bdone_auto"))
     graph_id = service.register(graph)
     solution = service.solve(graph_id)
     assert solution.size > 0
-
-
-# ----------------------------------------------------------------------
-# Calibration fitting
-# ----------------------------------------------------------------------
-def _rows(*pairs):
-    return [
-        {"n": n, "flat_wall": flat, "vec_wall": vec} for n, flat, vec in pairs
-    ]
-
-
-def test_fit_crossover_finds_sustained_decisive_win():
-    rows = _rows(
-        (1_000, 1.0, 2.0), (2_000, 1.0, 1.2), (4_000, 1.0, 0.8), (8_000, 1.0, 0.5)
-    )
-    fitted = _fit_crossover(rows)
-    assert fitted == round((2_000 * 4_000) ** 0.5)
-
-
-def test_fit_crossover_ignores_noisy_early_win():
-    # A single win at 1k (not sustained: vec loses again at 2k) must not
-    # drag the crossover down to the bottom of the ladder.
-    rows = _rows(
-        (1_000, 1.0, 0.8), (2_000, 1.0, 1.3), (4_000, 1.0, 0.8), (8_000, 1.0, 0.7)
-    )
-    assert _fit_crossover(rows) == round((2_000 * 4_000) ** 0.5)
-
-
-def test_fit_crossover_ties_are_not_decisive():
-    # Ties from the first rung: no decisive (>=10%) win anywhere -> never.
-    rows = _rows((1_000, 1.0, 0.99), (2_000, 1.0, 0.97), (4_000, 1.0, 0.95))
-    assert _fit_crossover(rows) == 8_000
-
-
-def test_fit_crossover_never_wins():
-    rows = _rows((1_000, 1.0, 2.0), (2_000, 1.0, 1.5), (4_000, 1.0, 1.1))
-    assert _fit_crossover(rows) == 8_000
-
-
-def test_run_calibration_writes_file_and_respects_floor(tmp_path, monkeypatch):
-    path = tmp_path / "calib.json"
-    monkeypatch.setenv(auto.CALIBRATION_ENV, str(path))
-    auto.reset_calibration_cache()
-    # Tiny ladder keeps this a smoke test, not a benchmark.
-    calibration = run_calibration(repeats=1, ladder=(256, 512))
-    assert path.exists()
-    payload = json.loads(path.read_text())
-    assert payload["crossover_n"] == calibration.crossover_n
-    assert "samples" in payload
-    # The fit is clamped to the shipped defaults from below.
-    for family, floor in DEFAULT_CALIBRATION.crossover_n.items():
-        assert calibration.crossover_n[family] >= floor
-    # And the freshly written file is what load_calibration now sees.
-    assert auto.load_calibration().crossover_n == calibration.crossover_n
-
-
-def test_run_calibration_dry_run_writes_nothing(tmp_path, monkeypatch):
-    path = tmp_path / "calib.json"
-    monkeypatch.setenv(auto.CALIBRATION_ENV, str(path))
-    auto.reset_calibration_cache()
-    calibration = run_calibration(repeats=1, dry_run=True, ladder=(256,))
-    assert not path.exists()
-    assert calibration.source == "dry-run"
-
-
-def test_cli_has_calibrate_subcommand():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["calibrate", "--dry-run", "--repeats", "2"])
-    assert args.dry_run is True
-    assert args.repeats == 2

@@ -128,6 +128,19 @@ def test_one_pass_dominance_sweeps_agree():
     # same vertices in the same order as the set-based oracle.
     for graph in CORPUS:
         assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
+    assert getattr(flat_one_pass_dominance, "__hot_loop__", False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_dominance_sweeps_agree_at_scale(seed):
+    # Thousands of leaves: the leaf wave settles most removals without a
+    # subset scan, and the rest of the sweep must still match the oracle.
+    graph = power_law_graph(3000, beta=2.0 + 0.1 * seed, average_degree=4.0 + seed,
+                            seed=seed)
+    leaves = sum(1 for v in range(graph.n) if graph.degree(v) == 1)
+    removed = flat_one_pass_dominance(graph)
+    assert removed == one_pass_dominance(graph)
+    assert leaves > 100 and len(removed) > 100
 
 
 def test_bdtwo_deterministic_and_valid_on_corpus():

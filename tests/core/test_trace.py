@@ -447,15 +447,12 @@ _PINNED_SOLVES = {
                        "275a07da4421a76e4a3ae5b5114fa98e3ab4d9a2061eea2891ffa40c529ec304"),
     "NearLinear": ("f3c6d32575dbf1c32f22e51053d3d85f09da6bf75cd41636930d4d68f309ec86",
                    "4cb4aa409e9e7a329fc4b27fd8c68f85899bb1c858b9721a90a0f0ac87584047"),
-    "NearLinear-vec": ("66d061e8bfdd4a2838c8664610e76722b7d2139b94160e77365165ed85512735",
-                       "4cb4aa409e9e7a329fc4b27fd8c68f85899bb1c858b9721a90a0f0ac87584047"),
 }
 _PINNED_KERNELS = {
     "degree_one": "eb1bf60f24b14c78a441c74a2bffefeab50795dfc2737c78e0093ce9b94684b7",
     "linear_time": "85cd117998e4767c037813ca59b81b5a1536d959ce9e1170f50fa34201627d5f",
     "linear_time_vec": "cae6f7ba57544f551ec03093956f68af0b6110d929a752345e39193152718185",
     "near_linear": "efb3d359551afbe82a0dacdd96509192039dc32cfd37d1c126f7c58a7143fb30",
-    "near_linear_vec": "efb3d359551afbe82a0dacdd96509192039dc32cfd37d1c126f7c58a7143fb30",
 }
 
 

@@ -269,7 +269,7 @@ class TestRealRepoResolution:
         index = repo_project.index
         targets = index.registry_targets("repro.perf.parallel:ALGORITHM_BY_NAME")
         assert "repro.core.linear_time:linear_time" in targets
-        assert any(q.endswith(":near_linear_vec") for q in targets)
+        assert any(q.endswith(":linear_time_vec") for q in targets)
 
     def test_kernel_methods_registry_is_indexed(self, repo_project):
         # AnnAssign registry (KERNEL_METHODS has a type annotation).

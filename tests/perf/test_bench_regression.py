@@ -59,9 +59,7 @@ def test_gated_tracks_cover_all_flat_backends():
         "arw_lt",
         "serve_incremental",
         "linear_time_vec",
-        "near_linear_vec",
         "linear_time_auto",
-        "near_linear_auto",
         "serve_load",
     }
     for track, (record, field) in bench_regression.GATED_TRACKS.items():
@@ -72,10 +70,10 @@ def test_gated_tracks_cover_all_flat_backends():
             assert record == "ServeLoad"
             assert field == "async_wall"
         elif track.endswith("_vec"):
-            assert record in {"LinearTime-vec", "NearLinear-vec"}
+            assert record == "LinearTime-vec"
             assert field == "vec_wall"
         elif track.endswith("_auto"):
-            assert record in {"LinearTime-auto", "NearLinear-auto"}
+            assert record == "LinearTime-auto"
             assert field == "auto_wall"
         else:
             assert field == "flat_wall"

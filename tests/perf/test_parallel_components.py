@@ -94,8 +94,8 @@ def test_threshold_above_all_components_solves_inline():
 
 
 def test_registry_names_cover_every_dispatchable_algorithm():
-    from repro.core.auto import bdone_auto, linear_time_auto, near_linear_auto
-    from repro.core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
+    from repro.core.auto import bdone_auto, linear_time_auto
+    from repro.core.vectorized import bdone_vec, linear_time_vec
 
     assert ALGORITHM_BY_NAME == {
         "bdone": bdone,
@@ -103,10 +103,8 @@ def test_registry_names_cover_every_dispatchable_algorithm():
         "near_linear": near_linear,
         "bdone_vec": bdone_vec,
         "linear_time_vec": linear_time_vec,
-        "near_linear_vec": near_linear_vec,
         "bdone_auto": bdone_auto,
         "linear_time_auto": linear_time_auto,
-        "near_linear_auto": near_linear_auto,
     }
 
 

@@ -25,7 +25,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.telemetry import disable, telemetry_session
 from repro.graphs.generators import cycle_graph, gnm_random_graph, power_law_graph
-from repro.serve import Mutation, ServiceConfig, SolverService
+from repro.serve import ServiceConfig, SolverService
 from repro.serve.context import RequestContext
 from repro.serve.requests import handle_request
 

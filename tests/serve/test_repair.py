@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis import assert_valid_solution
 from repro.core.workspace import ArrayWorkspace
+from repro.errors import ReproError
 from repro.graphs import Graph
 from repro.graphs.generators import (
     cycle_graph,
@@ -40,7 +41,7 @@ class TestColdSolve:
             assert_valid_solution(g, result.independent_set)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
+        with pytest.raises(ReproError, match="unknown algorithm"):
             cold_solve(Graph.from_edges(2, [(0, 1)]), "quantum")
 
     def test_cold_solve_workspace_factory_oracle_parity(self):

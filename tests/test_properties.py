@@ -3,11 +3,14 @@
 Strategy: generate arbitrary small simple graphs, then assert the paper's
 invariants against the brute-force oracle:
 
-* every algorithm (ours and the baselines) outputs an independent set that
-  is maximal and never exceeds α;
+* every algorithm (every registered reducing-peeling solver and the
+  baselines) outputs an independent set that is maximal and never
+  exceeds α;
 * the Theorem-6.1 sandwich ``|I| ≤ α ≤ |I| + |R|`` always holds and the
   exactness certificate never lies;
-* each exact reduction rule preserves α with its stated offset;
+* each exact reduction rule preserves α with its stated offset, and the
+  flat one-pass dominance sweep removes exactly what the set-based
+  oracle removes, leaf-heavy inputs included;
 * kernelization composes: ``α(G) = alpha_offset + α(kernel)``;
 * lifting a maximum kernel solution yields a maximum solution.
 """
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import is_maximal_independent_set
 from repro.baselines import du, greedy, online_mis, semi_external
-from repro.core import bdone, bdtwo, kernelize, linear_time, lp_reduction, near_linear
+from repro.core import ALGORITHMS, kernelize, lp_reduction
+from repro.core.dominance import one_pass_dominance
+from repro.core.flat_dominance import flat_one_pass_dominance
 from repro.core.reductions import find_dominated_vertex, reduce_dominance
 from repro.exact import (
     brute_force_alpha,
@@ -48,11 +53,54 @@ def graphs(draw, max_vertices: int = 14):
     return Graph.from_edges(n, edges)
 
 
-REDUCING_PEELING = [bdone, bdtwo, linear_time, near_linear]
+@st.composite
+def leaf_heavy_graphs(draw, max_pieces: int = 6):
+    """Disjoint K₂s, stars and pendant paths, then a few cross edges.
+
+    Vertex ids are relabelled at random, each edge is given in either
+    direction, and the edge list is shuffled, so every tie-break of the
+    sweep order (degree, then id) is exercised.
+    """
+    pieces = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["k2", "star", "path"]), st.integers(1, 5)),
+            max_size=max_pieces,
+        )
+    )
+    edges = []
+    n = 0
+    for kind, size in pieces:
+        if kind == "k2":
+            edges.append((n, n + 1))
+            n += 2
+        elif kind == "star":
+            edges.extend((n, n + leaf) for leaf in range(1, size + 1))
+            n += size + 1
+        else:
+            edges.extend((n + i, n + i + 1) for i in range(size))
+            n += size + 1
+    if n >= 2:
+        edges.extend(
+            draw(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=n // 3,
+                )
+            )
+        )
+    label = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [
+        (label[v], label[u]) if flip else (label[u], label[v])
+        for (u, v), flip in zip(edges, flips)
+    ]
+    return Graph.from_edges(n, draw(st.permutations(edges)))
+
+
 BASELINES = [greedy, du, semi_external]
 
 
-@pytest.mark.parametrize("algorithm", REDUCING_PEELING)
+@pytest.mark.parametrize("algorithm", ALGORITHMS.values())
 class TestReducingPeelingInvariants:
     @SETTINGS
     @given(graph=graphs())
@@ -113,6 +161,11 @@ class TestReductions:
         u, v = found
         application = reduce_dominance(graph, u, v)
         assert brute_force_alpha(application.reduced) == brute_force_alpha(graph)
+
+    @SETTINGS
+    @given(graph=st.one_of(graphs(), leaf_heavy_graphs()))
+    def test_one_pass_dominance_sweeps_agree(self, graph):
+        assert flat_one_pass_dominance(graph) == one_pass_dominance(graph)
 
     @SETTINGS
     @given(graph=graphs())
