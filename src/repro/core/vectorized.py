@@ -145,16 +145,13 @@ class VecWorkspace:
     # Queries
     # ------------------------------------------------------------------
     def live_neighbors(self, v: int) -> List[int]:
-        """The current neighbours of ``v`` (skipping deleted vertices)."""
+        """The current neighbours of ``v`` (skipping deleted vertices), as
+        Python ints."""
         row = self.adj[self.xadj[v] : self.xadj[v + 1]]
         result: List[int] = row[self.alive[row] != 0].tolist()
         return result
 
-    def iter_live_neighbors(self, v: int) -> List[int]:
-        """Current neighbours of ``v`` as Python ints (eager, like flat)."""
-        row = self.adj[self.xadj[v] : self.xadj[v + 1]]
-        result: List[int] = row[self.alive[row] != 0].tolist()
-        return result
+    iter_live_neighbors = live_neighbors
 
     def has_live_edge(self, u: int, v: int) -> bool:
         """Whether the live edge ``(u, v)`` exists (scan the smaller side)."""

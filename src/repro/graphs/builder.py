@@ -1,9 +1,13 @@
 """Incremental construction of :class:`~repro.graphs.static_graph.Graph`.
 
-The builder accepts edges in any order, drops self-loops and duplicates, and
-emits the immutable adjacency-array representation.  It is the single place
-where raw edge data is normalised, so every graph in the library shares the
-same invariants (simple, undirected, sorted neighbourhoods).
+The builder accepts edges one at a time, in any order, drops self-loops and
+duplicates, and emits the immutable adjacency-array representation.  It is
+the incremental API the generators use (they count and test edges as they
+draw).  Whole edge lists — the file readers, service requests, kernel
+payloads — go through :meth:`Graph.from_edges
+<repro.graphs.static_graph.Graph.from_edges>` instead, one vectorised CSR
+construction that normalises to the same invariants (simple, undirected,
+sorted neighbourhoods) and yields the same graph.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ import os
 from typing import List, TextIO, Tuple, Union
 
 from ..errors import GraphFormatError
-from .builder import GraphBuilder
 from .static_graph import Graph
 
 __all__ = [
@@ -158,7 +157,8 @@ def read_metis(source: PathOrFile, name: str = "") -> Graph:
         raise GraphFormatError(f"expected {n} adjacency lines, found {len(body)}")
     if any(ln for _, ln in content[n + 1 :]):
         raise GraphFormatError(f"unexpected content after {n} adjacency lines")
-    builder = GraphBuilder(n, name=name)
+    edges: List[Tuple[int, int]] = []
+    append = edges.append
     for u, (line_number, line) in enumerate(body):
         for token in line.split():
             try:
@@ -167,8 +167,8 @@ def read_metis(source: PathOrFile, name: str = "") -> Graph:
                 raise GraphFormatError(f"non-integer neighbour {token!r}", line_number) from exc
             if not 0 <= v < n:
                 raise GraphFormatError(f"neighbour {token} out of range", line_number)
-            builder.add_edge(u, v)
-    graph = builder.build()
+            append((u, v))
+    graph = Graph.from_edges(n, edges, name=name)
     if graph.m != m:
         raise GraphFormatError(f"header declares m={m} but file contains m={graph.m}")
     return graph
